@@ -2,7 +2,7 @@
  * @file
  * Shared helpers for the figure-regeneration benches: scale selection
  * (BVL_SCALE=tiny|small|medium), row printing, the workload lists of
- * the paper's evaluation (Tables IV/V + Ligra suite), and the
+ * the paper's evaluation (filters over the registry table), and the
  * crash-safe sweep-service plumbing every bench shares.
  *
  * All benches submit their full simulation grid to a SweepService and
@@ -16,6 +16,7 @@
 #ifndef BVL_BENCH_BENCH_UTIL_HH
 #define BVL_BENCH_BENCH_UTIL_HH
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -56,26 +57,35 @@ scaleName(Scale s)
     return "?";
 }
 
+/** Names of the registered workloads in @p suites, in table order. */
+inline std::vector<std::string>
+suiteNames(std::initializer_list<Suite> suites)
+{
+    std::vector<std::string> names;
+    for (const auto &e : workloadTable())
+        if (std::find(suites.begin(), suites.end(), e.suite) != suites.end())
+            names.push_back(e.name);
+    return names;
+}
+
+/** Fig. 4's data-parallel rows: the kernels, then the Table V apps. */
 inline std::vector<std::string>
 dataParallelNames()
 {
-    return {"vvadd", "mmult", "saxpy", "backprop", "kmeans",
-            "blackscholes", "particlefilter", "jacobi-2d", "pathfinder",
-            "lavamd", "sw"};
+    return suiteNames({Suite::kernel, Suite::dataParallel});
 }
 
 inline std::vector<std::string>
 taskParallelNames()
 {
-    return {"bfs", "bc", "tc", "radii", "components", "pagerank",
-            "mis", "kcore"};
+    return suiteNames({Suite::taskParallel});
 }
 
 /** The Swan-style mobile kernel tier (DESIGN.md §18). */
 inline std::vector<std::string>
 mobileNames()
 {
-    return {"idct8", "ycbcr", "conv2d", "gemm8", "bytescan"};
+    return suiteNames({Suite::mobile});
 }
 
 /**

@@ -20,8 +20,10 @@
 # access-pattern table gated against the pinned BENCH_mobile.json via
 # scripts/check_bench.py --mobile), gate the sampled-simulation
 # cycle-error bound against full detail (fig04_sampled +
-# scripts/check_bench.py --sampled), and gate the kernel
-# microbenchmarks against the pinned baseline (scripts/check_bench.py).
+# scripts/check_bench.py --sampled), gate the kernel microbenchmarks
+# against the pinned baseline (scripts/check_bench.py), and run the
+# benchmark's self-test (perf/run.py --self-test: its timed cells must
+# match runWorkload exactly).
 #
 # Suites are selected with ctest labels (see tests/CMakeLists.txt):
 # unit, checker, concurrency, trace, workloads.
@@ -131,6 +133,9 @@ python3 scripts/check_bench.py --self-test
     --benchmark_out_format=json
 python3 scripts/check_bench.py \
     --results build-bench/microbench_ci.json
+
+echo "=== benchmark self-test (runCell vs runWorkload, Release) ==="
+python3 perf/run.py --self-test
 
 echo "=== forensics smoke (fatal plan -> report -> minimizer) ==="
 report=build/forensics_smoke.json

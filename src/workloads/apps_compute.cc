@@ -35,7 +35,6 @@ class BackpropWorkload : public WorkloadBase
     }
 
     std::string name() const override { return "backprop"; }
-    bool isDataParallel() const override { return true; }
 
     void
     init(BackingStore &mem) override
@@ -180,7 +179,6 @@ class KmeansWorkload : public WorkloadBase
     }
 
     std::string name() const override { return "kmeans"; }
-    bool isDataParallel() const override { return true; }
 
     void
     init(BackingStore &mem) override
@@ -379,7 +377,6 @@ class BlackscholesWorkload : public WorkloadBase
     }
 
     std::string name() const override { return "blackscholes"; }
-    bool isDataParallel() const override { return true; }
 
     void
     init(BackingStore &mem) override
@@ -538,7 +535,6 @@ class ParticlefilterWorkload : public WorkloadBase
     }
 
     std::string name() const override { return "particlefilter"; }
-    bool isDataParallel() const override { return true; }
 
     void
     init(BackingStore &mem) override
@@ -781,15 +777,10 @@ class ParticlefilterWorkload : public WorkloadBase
 
 } // namespace
 
-std::vector<WorkloadPtr>
-makeComputeApps(Scale scale)
-{
-    std::vector<WorkloadPtr> v;
-    v.push_back(std::make_unique<BackpropWorkload>(scale));
-    v.push_back(std::make_unique<KmeansWorkload>(scale));
-    v.push_back(std::make_unique<BlackscholesWorkload>(scale));
-    v.push_back(std::make_unique<ParticlefilterWorkload>(scale));
-    return v;
-}
+WorkloadPtr makeBackprop(Scale s) { return make<BackpropWorkload>(s); }
+WorkloadPtr makeKmeans(Scale s) { return make<KmeansWorkload>(s); }
+WorkloadPtr makeBlackscholes(Scale s) { return make<BlackscholesWorkload>(s); }
+WorkloadPtr
+makeParticlefilter(Scale s) { return make<ParticlefilterWorkload>(s); }
 
 } // namespace bvl

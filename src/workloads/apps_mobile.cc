@@ -67,7 +67,6 @@ class Idct8Workload : public WorkloadBase
     }
 
     std::string name() const override { return "idct8"; }
-    bool isDataParallel() const override { return true; }
 
     /** Basis value M[x][u], fixed-point scale 128. */
     static std::int16_t
@@ -394,7 +393,6 @@ class YcbcrWorkload : public WorkloadBase
     }
 
     std::string name() const override { return "ycbcr"; }
-    bool isDataParallel() const override { return true; }
 
     void
     init(BackingStore &mem) override
@@ -598,7 +596,6 @@ class Conv2dWorkload : public WorkloadBase
     }
 
     std::string name() const override { return "conv2d"; }
-    bool isDataParallel() const override { return true; }
 
     void
     init(BackingStore &mem) override
@@ -888,7 +885,6 @@ class Gemm8Workload : public WorkloadBase
     }
 
     std::string name() const override { return "gemm8"; }
-    bool isDataParallel() const override { return true; }
 
     void
     init(BackingStore &mem) override
@@ -1060,7 +1056,6 @@ class BytescanWorkload : public WorkloadBase
     }
 
     std::string name() const override { return "bytescan"; }
-    bool isDataParallel() const override { return true; }
 
     void
     fill(std::vector<std::uint8_t> &a, std::vector<std::uint8_t> &b) const
@@ -1268,16 +1263,10 @@ class BytescanWorkload : public WorkloadBase
 
 } // namespace
 
-std::vector<WorkloadPtr>
-makeMobileApps(Scale scale)
-{
-    std::vector<WorkloadPtr> v;
-    v.push_back(std::make_unique<Idct8Workload>(scale));
-    v.push_back(std::make_unique<YcbcrWorkload>(scale));
-    v.push_back(std::make_unique<Conv2dWorkload>(scale));
-    v.push_back(std::make_unique<Gemm8Workload>(scale));
-    v.push_back(std::make_unique<BytescanWorkload>(scale));
-    return v;
-}
+WorkloadPtr makeIdct8(Scale s) { return make<Idct8Workload>(s); }
+WorkloadPtr makeYcbcr(Scale s) { return make<YcbcrWorkload>(s); }
+WorkloadPtr makeConv2d(Scale s) { return make<Conv2dWorkload>(s); }
+WorkloadPtr makeGemm8(Scale s) { return make<Gemm8Workload>(s); }
+WorkloadPtr makeBytescan(Scale s) { return make<BytescanWorkload>(s); }
 
 } // namespace bvl

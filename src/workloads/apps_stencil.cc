@@ -30,7 +30,6 @@ class Jacobi2dWorkload : public WorkloadBase
     }
 
     std::string name() const override { return "jacobi-2d"; }
-    bool isDataParallel() const override { return true; }
 
     void
     init(BackingStore &mem) override
@@ -268,7 +267,6 @@ class PathfinderWorkload : public WorkloadBase
     }
 
     std::string name() const override { return "pathfinder"; }
-    bool isDataParallel() const override { return true; }
 
     void
     init(BackingStore &mem) override
@@ -483,7 +481,6 @@ class LavamdWorkload : public WorkloadBase
     }
 
     std::string name() const override { return "lavamd"; }
-    bool isDataParallel() const override { return true; }
 
     void
     init(BackingStore &mem) override
@@ -674,14 +671,8 @@ class LavamdWorkload : public WorkloadBase
 
 } // namespace
 
-std::vector<WorkloadPtr>
-makeStencilApps(Scale scale)
-{
-    std::vector<WorkloadPtr> v;
-    v.push_back(std::make_unique<Jacobi2dWorkload>(scale));
-    v.push_back(std::make_unique<PathfinderWorkload>(scale));
-    v.push_back(std::make_unique<LavamdWorkload>(scale));
-    return v;
-}
+WorkloadPtr makeJacobi2d(Scale s) { return make<Jacobi2dWorkload>(s); }
+WorkloadPtr makePathfinder(Scale s) { return make<PathfinderWorkload>(s); }
+WorkloadPtr makeLavamd(Scale s) { return make<LavamdWorkload>(s); }
 
 } // namespace bvl

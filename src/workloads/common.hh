@@ -25,6 +25,10 @@ constexpr Addr regionE = 0x05000000;
 
 class WorkloadBase : public Workload
 {
+  public:
+    /** All but the Ligra apps (GraphWorkloadBase) are data-parallel. */
+    bool isDataParallel() const override { return true; }
+
   protected:
     /** Finish a program and place its text uniquely in this workload. */
     ProgramPtr
@@ -71,6 +75,14 @@ class WorkloadBase : public Workload
      */
     static constexpr unsigned defaultChunks = 64;
 };
+
+/** Build a @p W at @p scale: the body of every registry factory. */
+template <class W>
+WorkloadPtr
+make(Scale scale)
+{
+    return std::make_unique<W>(scale);
+}
 
 } // namespace bvl
 

@@ -28,7 +28,6 @@ class VvaddWorkload : public WorkloadBase
     }
 
     std::string name() const override { return "vvadd"; }
-    bool isDataParallel() const override { return true; }
 
     void
     init(BackingStore &mem) override
@@ -139,7 +138,6 @@ class SaxpyWorkload : public WorkloadBase
     }
 
     std::string name() const override { return "saxpy"; }
-    bool isDataParallel() const override { return true; }
 
     void
     init(BackingStore &mem) override
@@ -245,7 +243,6 @@ class MmultWorkload : public WorkloadBase
     }
 
     std::string name() const override { return "mmult"; }
-    bool isDataParallel() const override { return true; }
 
     void
     init(BackingStore &mem) override
@@ -403,14 +400,8 @@ class MmultWorkload : public WorkloadBase
 
 } // namespace
 
-std::vector<WorkloadPtr>
-makeKernels(Scale scale)
-{
-    std::vector<WorkloadPtr> v;
-    v.push_back(std::make_unique<VvaddWorkload>(scale));
-    v.push_back(std::make_unique<MmultWorkload>(scale));
-    v.push_back(std::make_unique<SaxpyWorkload>(scale));
-    return v;
-}
+WorkloadPtr makeVvadd(Scale s) { return make<VvaddWorkload>(s); }
+WorkloadPtr makeMmult(Scale s) { return make<MmultWorkload>(s); }
+WorkloadPtr makeSaxpy(Scale s) { return make<SaxpyWorkload>(s); }
 
 } // namespace bvl

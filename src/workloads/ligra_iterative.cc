@@ -488,15 +488,9 @@ class KcoreWorkload : public GraphWorkloadBase
 
 } // namespace
 
-std::vector<WorkloadPtr>
-makeIterativeGraphApps(Scale scale)
-{
-    std::vector<WorkloadPtr> v;
-    v.push_back(std::make_unique<ComponentsWorkload>(scale));
-    v.push_back(std::make_unique<PagerankWorkload>(scale));
-    v.push_back(std::make_unique<MisWorkload>(scale));
-    v.push_back(std::make_unique<KcoreWorkload>(scale));
-    return v;
-}
+WorkloadPtr makeComponents(Scale s) { return make<ComponentsWorkload>(s); }
+WorkloadPtr makePagerank(Scale s) { return make<PagerankWorkload>(s); }
+WorkloadPtr makeMis(Scale s) { return make<MisWorkload>(s); }
+WorkloadPtr makeKcore(Scale s) { return make<KcoreWorkload>(s); }
 
 } // namespace bvl

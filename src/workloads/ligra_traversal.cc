@@ -568,15 +568,9 @@ class RadiiWorkload : public GraphWorkloadBase
 
 } // namespace
 
-std::vector<WorkloadPtr>
-makeTraversalGraphApps(Scale scale)
-{
-    std::vector<WorkloadPtr> v;
-    v.push_back(std::make_unique<BfsWorkload>(scale));
-    v.push_back(std::make_unique<BcWorkload>(scale));
-    v.push_back(std::make_unique<TcWorkload>(scale));
-    v.push_back(std::make_unique<RadiiWorkload>(scale));
-    return v;
-}
+WorkloadPtr makeBfs(Scale s) { return make<BfsWorkload>(s); }
+WorkloadPtr makeBc(Scale s) { return make<BcWorkload>(s); }
+WorkloadPtr makeTc(Scale s) { return make<TcWorkload>(s); }
+WorkloadPtr makeRadii(Scale s) { return make<RadiiWorkload>(s); }
 
 } // namespace bvl

@@ -34,7 +34,6 @@ class SwWorkload : public WorkloadBase
     }
 
     std::string name() const override { return "sw"; }
-    bool isDataParallel() const override { return true; }
 
     void
     init(BackingStore &mem) override
@@ -482,12 +481,6 @@ class SwWorkload : public WorkloadBase
 
 } // namespace
 
-std::vector<WorkloadPtr>
-makeGenomicsApps(Scale scale)
-{
-    std::vector<WorkloadPtr> v;
-    v.push_back(std::make_unique<SwWorkload>(scale));
-    return v;
-}
+WorkloadPtr makeSw(Scale s) { return make<SwWorkload>(s); }
 
 } // namespace bvl

@@ -7,12 +7,49 @@
 namespace bvl
 {
 
-// Factories implemented in the per-category translation units.
-std::vector<WorkloadPtr> makeComputeApps(Scale scale);
-std::vector<WorkloadPtr> makeStencilApps(Scale scale);
-std::vector<WorkloadPtr> makeGenomicsApps(Scale scale);
-std::vector<WorkloadPtr> makeIterativeGraphApps(Scale scale);
-std::vector<WorkloadPtr> makeTraversalGraphApps(Scale scale);
+// Factories defined next to their workload classes, grouped by file.
+WorkloadPtr makeVvadd(Scale), makeMmult(Scale), makeSaxpy(Scale);
+WorkloadPtr makeIdct8(Scale), makeYcbcr(Scale), makeConv2d(Scale),
+    makeGemm8(Scale), makeBytescan(Scale);
+WorkloadPtr makeBackprop(Scale), makeKmeans(Scale), makeBlackscholes(Scale),
+    makeParticlefilter(Scale);
+WorkloadPtr makeJacobi2d(Scale), makePathfinder(Scale), makeLavamd(Scale);
+WorkloadPtr makeSw(Scale);
+WorkloadPtr makeBfs(Scale), makeBc(Scale), makeTc(Scale), makeRadii(Scale);
+WorkloadPtr makeComponents(Scale), makePagerank(Scale), makeMis(Scale),
+    makeKcore(Scale);
+
+namespace
+{
+
+const WorkloadEntry registry[] = {
+    {"vvadd", Suite::kernel, makeVvadd},
+    {"mmult", Suite::kernel, makeMmult},
+    {"saxpy", Suite::kernel, makeSaxpy},
+    {"idct8", Suite::mobile, makeIdct8},
+    {"ycbcr", Suite::mobile, makeYcbcr},
+    {"conv2d", Suite::mobile, makeConv2d},
+    {"gemm8", Suite::mobile, makeGemm8},
+    {"bytescan", Suite::mobile, makeBytescan},
+    {"backprop", Suite::dataParallel, makeBackprop},
+    {"kmeans", Suite::dataParallel, makeKmeans},
+    {"blackscholes", Suite::dataParallel, makeBlackscholes},
+    {"particlefilter", Suite::dataParallel, makeParticlefilter},
+    {"jacobi-2d", Suite::dataParallel, makeJacobi2d},
+    {"pathfinder", Suite::dataParallel, makePathfinder},
+    {"lavamd", Suite::dataParallel, makeLavamd},
+    {"sw", Suite::dataParallel, makeSw},
+    {"bfs", Suite::taskParallel, makeBfs},
+    {"bc", Suite::taskParallel, makeBc},
+    {"tc", Suite::taskParallel, makeTc},
+    {"radii", Suite::taskParallel, makeRadii},
+    {"components", Suite::taskParallel, makeComponents},
+    {"pagerank", Suite::taskParallel, makePagerank},
+    {"mis", Suite::taskParallel, makeMis},
+    {"kcore", Suite::taskParallel, makeKcore},
+};
+
+} // namespace
 
 Addr
 Workload::nextTextBase()
@@ -22,59 +59,25 @@ Workload::nextTextBase()
     return base;
 }
 
-std::vector<WorkloadPtr>
-makeDataParallelApps(Scale scale)
+std::span<const WorkloadEntry>
+workloadTable()
 {
-    std::vector<WorkloadPtr> v;
-    for (auto &w : makeComputeApps(scale))
-        v.push_back(std::move(w));
-    for (auto &w : makeStencilApps(scale))
-        v.push_back(std::move(w));
-    for (auto &w : makeGenomicsApps(scale))
-        v.push_back(std::move(w));
-    return v;
+    // Diagnose a duplicated name once, on first use.
+    [[maybe_unused]] static const bool checked =
+        (checkUniqueNames(registry), true);
+    return registry;
 }
-
-std::vector<WorkloadPtr>
-makeTaskParallelApps(Scale scale)
-{
-    std::vector<WorkloadPtr> v;
-    for (auto &w : makeTraversalGraphApps(scale))
-        v.push_back(std::move(w));
-    for (auto &w : makeIterativeGraphApps(scale))
-        v.push_back(std::move(w));
-    return v;
-}
-
-namespace
-{
-
-/** Every registered factory, in suite order. */
-std::vector<WorkloadPtr>
-allWorkloads(Scale scale)
-{
-    std::vector<WorkloadPtr> v;
-    for (auto maker : {makeKernels, makeMobileApps, makeDataParallelApps,
-                       makeTaskParallelApps}) {
-        for (auto &w : maker(scale))
-            v.push_back(std::move(w));
-    }
-    checkUniqueNames(v);
-    return v;
-}
-
-} // namespace
 
 void
-checkUniqueNames(const std::vector<WorkloadPtr> &suite)
+checkUniqueNames(std::span<const WorkloadEntry> table)
 {
     std::set<std::string> seen;
-    for (const auto &w : suite) {
-        if (!seen.insert(w->name()).second) {
-            fatal("duplicate workload name '%s': two registered factories "
-                  "produce it; rename one (names key sweep journals, "
+    for (const auto &e : table) {
+        if (!seen.insert(e.name).second) {
+            fatal("duplicate workload name '%s': two registry rows "
+                  "share it; rename one (names key sweep journals, "
                   "result caches and checkpoint farms)",
-                  w->name().c_str());
+                  e.name);
         }
     }
 }
@@ -82,9 +85,15 @@ checkUniqueNames(const std::vector<WorkloadPtr> &suite)
 WorkloadPtr
 makeWorkload(const std::string &name, Scale scale)
 {
-    for (auto &w : allWorkloads(scale))
-        if (w->name() == name)
-            return std::move(w);
+    for (const auto &e : workloadTable()) {
+        if (name != e.name)
+            continue;
+        WorkloadPtr w = e.factory(scale);
+        bvl_assert(w->name() == name,
+                   "registry row '%s' builds workload '%s'", e.name,
+                   w->name().c_str());
+        return w;
+    }
     return nullptr;
 }
 
@@ -92,8 +101,8 @@ std::vector<std::string>
 allWorkloadNames()
 {
     std::vector<std::string> names;
-    for (auto &w : allWorkloads(Scale::tiny))
-        names.push_back(w->name());
+    for (const auto &e : workloadTable())
+        names.push_back(e.name);
     return names;
 }
 

@@ -10,12 +10,18 @@
  *
  * All programs are range-parameterized: x10 = start, x11 = end, so
  * the serial run and every task chunk share the same Program objects.
+ *
+ * The registry is one table in workload.cc: a row per workload giving
+ * its name, suite and factory. To add a workload, define its class
+ * and a one-line factory next to its suite-mates, add one row to the
+ * table, then re-pin the figure baselines (DESIGN.md §18).
  */
 
 #ifndef BVL_WORKLOADS_WORKLOAD_HH
 #define BVL_WORKLOADS_WORKLOAD_HH
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -83,32 +89,40 @@ class Workload
 
 using WorkloadPtr = std::unique_ptr<Workload>;
 
-/** The 3 kernels of Table IV: vvadd, mmult, saxpy. */
-std::vector<WorkloadPtr> makeKernels(Scale scale);
+/** The evaluation suite a workload belongs to. */
+enum class Suite
+{
+    kernel,         ///< the 3 kernels of Table IV
+    mobile,         ///< the Swan-style mobile tier (DESIGN.md §18)
+    dataParallel,   ///< the 8 data-parallel applications of Table V
+    taskParallel,   ///< the 8 Ligra-style task-parallel graph apps
+};
 
-/** The 8 data-parallel applications of Table V. */
-std::vector<WorkloadPtr> makeDataParallelApps(Scale scale);
-
-/** The 8 Ligra-style task-parallel graph applications. */
-std::vector<WorkloadPtr> makeTaskParallelApps(Scale scale);
+/** One registry row: a workload's name, suite and factory. */
+struct WorkloadEntry
+{
+    const char *name;
+    Suite suite;
+    WorkloadPtr (*factory)(Scale);
+};
 
 /**
- * The Swan-style mobile kernel tier: integer IDCT, YCbCr->RGB,
- * separable 2D convolution, quantized int8 GEMM, byte scanning
- * (DESIGN.md §18).
+ * The registry: one row per workload, in suite order (kernels,
+ * mobile, data-parallel, task-parallel). Reading it constructs
+ * nothing.
  */
-std::vector<WorkloadPtr> makeMobileApps(Scale scale);
+std::span<const WorkloadEntry> workloadTable();
 
 /**
- * fatal() with a one-line actionable error if two workloads in
- * @p suite share a name. Registration runs every factory through this
- * so a colliding name fails loudly instead of silently shadowing the
- * later workload (names key sweep journals, result caches and
- * checkpoint farms).
+ * fatal() with a one-line actionable error if two rows of @p table
+ * share a name. The registry runs its table through this once, so a
+ * colliding name fails loudly instead of silently shadowing the later
+ * workload (names key sweep journals, result caches and checkpoint
+ * farms).
  */
-void checkUniqueNames(const std::vector<WorkloadPtr> &suite);
+void checkUniqueNames(std::span<const WorkloadEntry> table);
 
-/** One workload by name (nullptr if unknown). */
+/** Construct one workload by name (nullptr if unknown). */
 WorkloadPtr makeWorkload(const std::string &name, Scale scale);
 
 /** Names of everything in the suite. */

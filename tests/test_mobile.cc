@@ -165,38 +165,13 @@ INSTANTIATE_TEST_SUITE_P(
         PatternCase{"bytescan", true, false, false}),
     [](const auto &info) { return std::string(info.param.name); });
 
-/** Minimal concrete workload used to provoke registry diagnostics. */
-class StubWorkload : public Workload
-{
-  public:
-    explicit StubWorkload(std::string n) : n(std::move(n)) {}
-    std::string name() const override { return n; }
-    bool isDataParallel() const override { return true; }
-    void init(BackingStore &) override {}
-    ProgramPtr scalarProgram() override
-    {
-        Asm a(n);
-        a.halt();
-        auto p = a.finish();
-        p->setTextBase(nextTextBase());
-        return p;
-    }
-    ProgArgs fullRangeArgs() const override { return {}; }
-    TaskGraph taskGraph() override { return {}; }
-    bool verify(const BackingStore &) const override { return true; }
-
-  private:
-    std::string n;
-};
-
 TEST(WorkloadRegistryTest, DuplicateNameIsFatalAndNamesTheCulprit)
 {
-    std::vector<WorkloadPtr> suite;
-    suite.push_back(std::make_unique<StubWorkload>("alpha"));
-    suite.push_back(std::make_unique<StubWorkload>("dupname"));
-    suite.push_back(std::make_unique<StubWorkload>("dupname"));
+    const WorkloadEntry table[] = {{"alpha", Suite::kernel, nullptr},
+                                   {"dupname", Suite::kernel, nullptr},
+                                   {"dupname", Suite::mobile, nullptr}};
     try {
-        checkUniqueNames(suite);
+        checkUniqueNames(table);
         FAIL() << "duplicate name was not diagnosed";
     } catch (const SimFatalError &e) {
         EXPECT_NE(std::string(e.what()).find("dupname"),
@@ -207,10 +182,9 @@ TEST(WorkloadRegistryTest, DuplicateNameIsFatalAndNamesTheCulprit)
 
 TEST(WorkloadRegistryTest, UniqueNamesPass)
 {
-    std::vector<WorkloadPtr> suite;
-    suite.push_back(std::make_unique<StubWorkload>("alpha"));
-    suite.push_back(std::make_unique<StubWorkload>("beta"));
-    EXPECT_NO_THROW(checkUniqueNames(suite));
+    const WorkloadEntry table[] = {{"alpha", Suite::kernel, nullptr},
+                                   {"beta", Suite::kernel, nullptr}};
+    EXPECT_NO_THROW(checkUniqueNames(table));
 }
 
 TEST(WorkloadRegistryTest, MobileTierIsRegistered)

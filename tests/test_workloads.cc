@@ -4,15 +4,16 @@
  *
  * The heart of the reproduction's validation: every workload runs
  * functionally correctly under full timing simulation on every
- * design (parameterized over the 19-workload x 7-design matrix at
- * tiny scale), plus host-reference checks of the shared polynomial
- * approximations and graph substrate.
+ * design (parameterized over the 24-workload x 7-design matrix at
+ * tiny scale), the registry table behind it, plus host-reference
+ * checks of the shared polynomial approximations and graph substrate.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "bench/bench_util.hh"
 #include "soc/run_driver.hh"
 #include "workloads/graph.hh"
 #include "workloads/progutil.hh"
@@ -73,6 +74,35 @@ matrixName(const ::testing::TestParamInfo<MatrixParam> &info)
 
 INSTANTIATE_TEST_SUITE_P(AllPairs, WorkloadMatrixTest,
                          ::testing::ValuesIn(matrix()), matrixName);
+
+// ------------------------------------------------------------------
+// Registry: every table row builds the workload it names, and the
+// benches' suite filters keep the figures' row order.
+// ------------------------------------------------------------------
+
+TEST(WorkloadRegistryTest, RowsBuildTheirKeyAndPinFigureRowOrder)
+{
+    for (const auto &e : workloadTable()) {
+        WorkloadPtr w = e.factory(Scale::tiny);
+        ASSERT_NE(w, nullptr) << e.name;
+        EXPECT_EQ(w->name(), e.name);
+        EXPECT_EQ(w->isDataParallel(), e.suite != Suite::taskParallel)
+            << e.name;
+    }
+    EXPECT_EQ(makeWorkload("no-such-workload", Scale::tiny), nullptr);
+
+    // fig04_speedup and fig_mobile print their rows in these orders.
+    using Names = std::vector<std::string>;
+    EXPECT_EQ(bvlbench::dataParallelNames(),
+              (Names{"vvadd", "mmult", "saxpy", "backprop", "kmeans",
+                     "blackscholes", "particlefilter", "jacobi-2d",
+                     "pathfinder", "lavamd", "sw"}));
+    EXPECT_EQ(bvlbench::taskParallelNames(),
+              (Names{"bfs", "bc", "tc", "radii", "components", "pagerank",
+                     "mis", "kcore"}));
+    EXPECT_EQ(bvlbench::mobileNames(),
+              (Names{"idct8", "ycbcr", "conv2d", "gemm8", "bytescan"}));
+}
 
 // ------------------------------------------------------------------
 // Stat-registry parity after a full run: every counter is incremented
