@@ -23,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -124,6 +125,11 @@ struct PatternCase
     bool unit, strided, indexed;
 };
 
+// gtest's fallback printer dumps the raw bytes, i.e. the address of
+// `name` (randomised per process), into the discovered ctest names.
+// Printing the kernel name instead keeps them stable across builds.
+void PrintTo(const PatternCase &c, std::ostream *os) { *os << c.name; }
+
 class MobileVmuPatternTest : public ::testing::TestWithParam<PatternCase>
 {};
 
@@ -162,8 +168,7 @@ INSTANTIATE_TEST_SUITE_P(
         PatternCase{"conv2d", true, true, false},
         // gemm8 and bytescan are pure unit-stride
         PatternCase{"gemm8", true, false, false},
-        PatternCase{"bytescan", true, false, false}),
-    [](const auto &info) { return std::string(info.param.name); });
+        PatternCase{"bytescan", true, false, false}));
 
 TEST(WorkloadRegistryTest, DuplicateNameIsFatalAndNamesTheCulprit)
 {
