@@ -18,7 +18,7 @@
 #include "bench/bench_util.hh"
 #include "isa/arch_state.hh"
 #include "sim/io/sim_io.hh"
-#include "soc/checkpoint_farm.hh"
+#include "soc/checkpoint.hh"
 #include "sweep/service/job_hash.hh"
 #include "vector/engine_presets.hh"
 

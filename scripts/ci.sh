@@ -32,12 +32,27 @@
 # often have fewer cores than nproc reports usable; both knobs
 # propagate to cmake --build and ctest.
 #
-# Usage: scripts/ci.sh [--jobs N]
+# Each section is a leg callable by name, which is how the GitHub
+# workflow runs them, so local and hosted gates cannot drift apart:
+#
+#   normal determinism journal mobile trace sweep checkpoint chaos
+#   sampled microbench perf forensics asan ubsan tsan
+#
+# With no leg named, every leg runs in that order. All but normal,
+# microbench and the sanitizer legs use the ./build tree as built by
+# the normal leg; journal and trace also read determinism's output.
+#
+# Usage: scripts/ci.sh [--jobs N] [leg...]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
+all_legs=(normal determinism journal mobile trace sweep checkpoint chaos
+          sampled microbench perf forensics asan ubsan tsan)
+usage="usage: scripts/ci.sh [--jobs N] [leg...]; legs: ${all_legs[*]}"
+
 jobs="${BVL_CI_JOBS:-$(nproc)}"
+legs=()
 while [ $# -gt 0 ]; do
     case "$1" in
       --jobs)
@@ -45,131 +60,170 @@ while [ $# -gt 0 ]; do
         jobs="$2"; shift 2 ;;
       --jobs=*)
         jobs="${1#--jobs=}"; shift ;;
-      *)
-        echo "unknown option: $1 (usage: scripts/ci.sh [--jobs N])" >&2
+      -*)
+        echo "unknown option: $1 ($usage)" >&2
         exit 2 ;;
+      *)
+        case " ${all_legs[*]} " in
+          *" $1 "*) legs+=("$1"); shift ;;
+          *) echo "unknown leg: $1 ($usage)" >&2; exit 2 ;;
+        esac ;;
     esac
 done
 case "$jobs" in
   ''|*[!0-9]*) echo "--jobs/BVL_CI_JOBS must be a number" >&2; exit 2 ;;
 esac
+[ ${#legs[@]} -gt 0 ] || legs=("${all_legs[@]}")
 
-echo "=== normal build (jobs=$jobs) ==="
-cmake -B build -S . >/dev/null
-cmake --build build -j "$jobs"
-ctest --test-dir build --output-on-failure -j "$jobs"
+leg_normal() {
+    echo "=== normal build (jobs=$jobs) ==="
+    cmake -B build -S . >/dev/null
+    cmake --build build -j "$jobs"
+    ctest --test-dir build --output-on-failure -j "$jobs"
+}
 
-echo "=== parallel sweep determinism (BVL_JOBS=1 vs 4) ==="
-# Separate BVL_SWEEP_DIR per run: the point is comparing two *live*
-# sweeps, not a sweep against its own journal replay.
-rm -rf build/sweep.j1 build/sweep.j4
-BVL_SCALE=tiny BVL_JOBS=1 BVL_SWEEP_DIR=build/sweep.j1 \
-    ./build/bench/fig04_speedup > build/fig04.j1
-BVL_SCALE=tiny BVL_JOBS=4 BVL_SWEEP_DIR=build/sweep.j4 \
-    ./build/bench/fig04_speedup > build/fig04.j4
-cmp build/fig04.j1 build/fig04.j4
-echo "fig04_speedup output is byte-identical across thread counts"
+leg_determinism() {
+    echo "=== parallel sweep determinism (BVL_JOBS=1 vs 4) ==="
+    # Separate BVL_SWEEP_DIR per run: the point is comparing two *live*
+    # sweeps, not a sweep against its own journal replay.
+    rm -rf build/sweep.j1 build/sweep.j4
+    BVL_SCALE=tiny BVL_JOBS=1 BVL_SWEEP_DIR=build/sweep.j1 \
+        ./build/bench/fig04_speedup > build/fig04.j1
+    BVL_SCALE=tiny BVL_JOBS=4 BVL_SWEEP_DIR=build/sweep.j4 \
+        ./build/bench/fig04_speedup > build/fig04.j4
+    cmp build/fig04.j1 build/fig04.j4
+    echo "fig04_speedup output is byte-identical across thread counts"
+}
 
-echo "=== journal gate (every journaled sweep cell finished ok) ==="
-python3 scripts/check_bench.py \
-    --journal build/sweep.j1/fig04_speedup.journal.jsonl
+leg_journal() {
+    echo "=== journal gate (every journaled sweep cell finished ok) ==="
+    python3 scripts/check_bench.py \
+        --journal build/sweep.j1/fig04_speedup.journal.jsonl
+}
 
-echo "=== mobile tier smoke (fig_mobile, BVL_JOBS=1 vs 4 + gates) ==="
-rm -rf build/mobile.j1 build/mobile.j4
-BVL_SCALE=tiny BVL_JOBS=1 BVL_SWEEP_DIR=build/mobile.j1 \
-    BVL_MOBILE_OUT=build/mobile.json \
-    ./build/bench/fig_mobile > build/fig_mobile.j1
-BVL_SCALE=tiny BVL_JOBS=4 BVL_SWEEP_DIR=build/mobile.j4 \
-    ./build/bench/fig_mobile > build/fig_mobile.j4
-cmp build/fig_mobile.j1 build/fig_mobile.j4
-echo "fig_mobile output is byte-identical across thread counts"
-python3 scripts/check_bench.py \
-    --journal build/mobile.j1/fig_mobile.journal.jsonl
-# Simulated time and VMU access-pattern counts are machine-independent,
-# so the default tight tolerance applies even on CI.
-python3 scripts/check_bench.py --mobile build/mobile.json
+leg_mobile() {
+    echo "=== mobile tier smoke (fig_mobile, BVL_JOBS=1 vs 4 + gates) ==="
+    rm -rf build/mobile.j1 build/mobile.j4
+    BVL_SCALE=tiny BVL_JOBS=1 BVL_SWEEP_DIR=build/mobile.j1 \
+        BVL_MOBILE_OUT=build/mobile.json \
+        ./build/bench/fig_mobile > build/fig_mobile.j1
+    BVL_SCALE=tiny BVL_JOBS=4 BVL_SWEEP_DIR=build/mobile.j4 \
+        ./build/bench/fig_mobile > build/fig_mobile.j4
+    cmp build/fig_mobile.j1 build/fig_mobile.j4
+    echo "fig_mobile output is byte-identical across thread counts"
+    python3 scripts/check_bench.py \
+        --journal build/mobile.j1/fig_mobile.journal.jsonl
+    # Simulated time and VMU access-pattern counts are machine-independent,
+    # so the default tight tolerance applies even on CI.
+    python3 scripts/check_bench.py --mobile build/mobile.json
+}
 
-echo "=== armed-trace determinism (BVL_TRACE_DIR, BVL_JOBS=1 vs 4) ==="
-rm -rf build/traces.j1 build/traces.j4 build/sweep.tj1 build/sweep.tj4
-mkdir -p build/traces.j1 build/traces.j4
-BVL_SCALE=tiny BVL_JOBS=1 BVL_TRACE_DIR=build/traces.j1 \
-    BVL_SWEEP_DIR=build/sweep.tj1 \
-    ./build/bench/fig04_speedup > build/fig04.traced.j1
-BVL_SCALE=tiny BVL_JOBS=4 BVL_TRACE_DIR=build/traces.j4 \
-    BVL_SWEEP_DIR=build/sweep.tj4 \
-    ./build/bench/fig04_speedup > build/fig04.traced.j4
-cmp build/fig04.j1 build/fig04.traced.j1   # tracing never perturbs
-diff <(cd build/traces.j1 && md5sum *.json) \
-     <(cd build/traces.j4 && md5sum *.json)
-python3 scripts/pipeview.py \
-    "$(ls build/traces.j1/*_1b-4VL_saxpy.json | head -1)" \
-    --track vcu --limit 5 >/dev/null
-echo "traces are byte-identical across thread counts"
+leg_trace() {
+    echo "=== armed-trace determinism (BVL_TRACE_DIR, BVL_JOBS=1 vs 4) ==="
+    rm -rf build/traces.j1 build/traces.j4 build/sweep.tj1 build/sweep.tj4
+    mkdir -p build/traces.j1 build/traces.j4
+    BVL_SCALE=tiny BVL_JOBS=1 BVL_TRACE_DIR=build/traces.j1 \
+        BVL_SWEEP_DIR=build/sweep.tj1 \
+        ./build/bench/fig04_speedup > build/fig04.traced.j1
+    BVL_SCALE=tiny BVL_JOBS=4 BVL_TRACE_DIR=build/traces.j4 \
+        BVL_SWEEP_DIR=build/sweep.tj4 \
+        ./build/bench/fig04_speedup > build/fig04.traced.j4
+    cmp build/fig04.j1 build/fig04.traced.j1   # tracing never perturbs
+    diff <(cd build/traces.j1 && md5sum *.json) \
+         <(cd build/traces.j4 && md5sum *.json)
+    python3 scripts/pipeview.py \
+        "$(ls build/traces.j1/*_1b-4VL_saxpy.json | head -1)" \
+        --track vcu --limit 5 >/dev/null
+    echo "traces are byte-identical across thread counts"
+}
 
-echo "=== sweep-service crash safety (kill/resume, cache poisoning) ==="
-scripts/sweep_smoke.sh build build/sweep-smoke
+leg_sweep() {
+    echo "=== sweep-service crash safety (kill/resume, cache poisoning) ==="
+    scripts/sweep_smoke.sh build build/sweep-smoke
+}
 
-echo "=== checkpoint save/restore + sampled determinism smoke ==="
-scripts/checkpoint_smoke.sh build build/ckpt-smoke
+leg_checkpoint() {
+    echo "=== checkpoint save/restore + sampled determinism smoke ==="
+    scripts/checkpoint_smoke.sh build build/ckpt-smoke
+}
 
-echo "=== I/O chaos smoke (fault injection across the persistence stack) ==="
-scripts/chaos_smoke.sh build build/chaos-smoke
+leg_chaos() {
+    echo "=== I/O chaos smoke (fault injection across persistence stack) ==="
+    scripts/chaos_smoke.sh build build/chaos-smoke
+}
 
-echo "=== sampled-accuracy gate (fig04 sampled vs full detail) ==="
-# Cycle error is machine-independent, so the 3% bound holds on any
-# host; wall-clock speedup is reported but never gated.
-BVL_SCALE=medium BVL_SAMPLED_OUT=build/sampled.json \
-    ./build/bench/fig04_sampled | tee build/fig04_sampled.out
-python3 scripts/check_bench.py --sampled build/sampled.json
+leg_sampled() {
+    echo "=== sampled-accuracy gate (fig04 sampled vs full detail) ==="
+    # Cycle error is machine-independent, so the 3% bound holds on any
+    # host; wall-clock speedup is reported but never gated.
+    BVL_SCALE=medium BVL_SAMPLED_OUT=build/sampled.json \
+        ./build/bench/fig04_sampled | tee build/fig04_sampled.out
+    python3 scripts/check_bench.py --sampled build/sampled.json
+}
 
-echo "=== kernel microbenchmark gate (Release) ==="
-cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-cmake --build build-bench -j "$jobs" --target microbench_sim >/dev/null
-python3 scripts/check_bench.py --self-test
-./build-bench/bench/microbench_sim \
-    --benchmark_filter='BM_EventQueue|BM_TickChurn|BM_Stat|BM_CacheHitPath|BM_FastForwardStep' \
-    --benchmark_min_time=0.1 \
-    --benchmark_out=build-bench/microbench_ci.json \
-    --benchmark_out_format=json
-python3 scripts/check_bench.py \
-    --results build-bench/microbench_ci.json
+leg_microbench() {
+    echo "=== kernel microbenchmark gate (Release) ==="
+    cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
+    cmake --build build-bench -j "$jobs" --target microbench_sim >/dev/null
+    python3 scripts/check_bench.py --self-test
+    ./build-bench/bench/microbench_sim \
+        --benchmark_filter='BM_EventQueue|BM_TickChurn|BM_Stat|BM_CacheHitPath|BM_FastForwardStep' \
+        --benchmark_min_time=0.1 \
+        --benchmark_out=build-bench/microbench_ci.json \
+        --benchmark_out_format=json
+    python3 scripts/check_bench.py \
+        --results build-bench/microbench_ci.json
+}
 
-echo "=== benchmark self-test (runCell vs runWorkload, Release) ==="
-python3 perf/run.py --self-test
+leg_perf() {
+    echo "=== benchmark self-test (runCell vs runWorkload, Release) ==="
+    python3 perf/run.py --self-test
+}
 
-echo "=== forensics smoke (fatal plan -> report -> minimizer) ==="
-report=build/forensics_smoke.json
-rm -f "$report"
-./build/examples/example_minimize_fault_plan "$report" \
-    | tee build/forensics_smoke.log
-test -s "$report" || { echo "FAIL: no failure report at $report"; exit 1; }
-minimal=$(sed -n 's/^minimal injections: //p' build/forensics_smoke.log)
-if [ -z "$minimal" ] || [ "$minimal" -gt 2 ]; then
-    echo "FAIL: minimizer did not converge (minimal='$minimal')"
-    exit 1
-fi
-grep -q '^one-minimal: yes' build/forensics_smoke.log \
-    || { echo "FAIL: minimized plan is not 1-minimal"; exit 1; }
-echo "forensics report written and plan minimized to $minimal injection(s)"
+leg_forensics() {
+    echo "=== forensics smoke (fatal plan -> report -> minimizer) ==="
+    report=build/forensics_smoke.json
+    rm -f "$report"
+    ./build/examples/example_minimize_fault_plan "$report" \
+        | tee build/forensics_smoke.log
+    test -s "$report" || { echo "FAIL: no failure report at $report"; exit 1; }
+    minimal=$(sed -n 's/^minimal injections: //p' build/forensics_smoke.log)
+    if [ -z "$minimal" ] || [ "$minimal" -gt 2 ]; then
+        echo "FAIL: minimizer did not converge (minimal='$minimal')"
+        exit 1
+    fi
+    grep -q '^one-minimal: yes' build/forensics_smoke.log \
+        || { echo "FAIL: minimized plan is not 1-minimal"; exit 1; }
+    echo "forensics report written and plan minimized to $minimal injection(s)"
+}
 
-echo "=== sanitized build (ASan + UBSan) ==="
-cmake -B build-asan -S . -DBVL_SANITIZE=address >/dev/null
-cmake --build build-asan -j "$jobs"
-ctest --test-dir build-asan --output-on-failure -j "$jobs"
+leg_asan() {
+    echo "=== sanitized build (ASan + UBSan) ==="
+    cmake -B build-asan -S . -DBVL_SANITIZE=address >/dev/null
+    cmake --build build-asan -j "$jobs"
+    ctest --test-dir build-asan --output-on-failure -j "$jobs"
+}
 
-echo "=== undefined-behavior build (UBSan, checker + trace + workloads) ==="
-# The workloads label rides along here: the mobile tier's int8/int16
-# fixed-point arithmetic is exactly where signed-overflow or shift UB
-# would hide.
-cmake -B build-ubsan -S . -DBVL_SANITIZE=undefined >/dev/null
-cmake --build build-ubsan -j "$jobs"
-ctest --test-dir build-ubsan --output-on-failure -j "$jobs" \
-      -L 'checker|trace|workloads'
+leg_ubsan() {
+    echo "=== undefined-behavior build (UBSan, checker + trace + workloads) ==="
+    # The workloads label rides along here: the mobile tier's int8/int16
+    # fixed-point arithmetic is exactly where signed-overflow or shift UB
+    # would hide.
+    cmake -B build-ubsan -S . -DBVL_SANITIZE=undefined >/dev/null
+    cmake --build build-ubsan -j "$jobs"
+    ctest --test-dir build-ubsan --output-on-failure -j "$jobs" \
+          -L 'checker|trace|workloads'
+}
 
-echo "=== thread-sanitized build (TSan, concurrency tests) ==="
-cmake -B build-tsan -S . -DBVL_SANITIZE=thread >/dev/null
-cmake --build build-tsan -j "$jobs"
-ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-      -L concurrency
+leg_tsan() {
+    echo "=== thread-sanitized build (TSan, concurrency tests) ==="
+    cmake -B build-tsan -S . -DBVL_SANITIZE=thread >/dev/null
+    cmake --build build-tsan -j "$jobs"
+    ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
+          -L concurrency
+}
 
-echo "=== ci.sh: all checks passed ==="
+for leg in "${legs[@]}"; do
+    "leg_$leg"
+done
+echo "=== ci.sh: ${legs[*]}: all checks passed ==="

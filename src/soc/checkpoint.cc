@@ -1,13 +1,16 @@
 #include "soc/checkpoint.hh"
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 
 #include "sim/check/json.hh"
+#include "sim/env.hh"
 #include "sim/io/sim_io.hh"
 #include "sim/logging.hh"
 #include "sweep/service/digest.hh"
+#include "sweep/service/job_hash.hh"
 
 namespace bvl
 {
@@ -194,11 +197,10 @@ checkpointInputSha256(const Soc &soc, Workload &workload)
     return d.hex();
 }
 
-bool
-saveCheckpoint(const std::string &path, Soc &soc,
-               const std::string &workloadName, std::uint64_t ffInsts,
-               const WarmTrace &trace, const std::string &inputSha,
-               std::string *error)
+std::string
+encodeCheckpoint(Soc &soc, const std::string &workloadName,
+                 std::uint64_t ffInsts, const WarmTrace &trace,
+                 const std::string &inputSha)
 {
     std::string payload;
 
@@ -255,14 +257,25 @@ saveCheckpoint(const std::string &path, Soc &soc,
     std::string text = header.dump(0);
     text += '\n';
     text += payload;
+    return text;
+}
 
+bool
+saveCheckpoint(const std::string &path, Soc &soc,
+               const std::string &workloadName, std::uint64_t ffInsts,
+               const WarmTrace &trace, const std::string &inputSha,
+               std::string *error)
+{
     // Atomic publish through the seam: temp file, fsync, rename, with
-    // the temp unlinked on any failure (result-cache idiom).
+    // the temp unlinked on any failure.
     auto parent = std::filesystem::path(path).parent_path();
     if (!parent.empty() &&
         !io::mkdirs("checkpoint.save.mkdir", parent.string(), error))
         return false;
-    return io::writeFileAtomic("checkpoint.save", path, text, error);
+    return io::writeFileAtomic(
+        "checkpoint.save", path,
+        encodeCheckpoint(soc, workloadName, ffInsts, trace, inputSha),
+        error);
 }
 
 CheckpointStatus
@@ -378,17 +391,53 @@ loadCheckpoint(const std::string &path, Soc &soc,
     return CheckpointStatus::ok;
 }
 
-bool
-quarantineCheckpoint(const std::string &path)
+ContentStore
+CheckpointFarm::open(const std::string &dir)
 {
-    std::string err;
-    if (!io::renameFile("checkpoint.quarantine.rename", path,
-                        path + ".corrupt", &err)) {
-        warn("checkpoint: cannot quarantine %s: %s", path.c_str(),
-             err.c_str());
-        return false;
-    }
-    return true;
+    return ContentStore(kKind, dir.empty() ? defaultDir() : dir, ".bvl");
+}
+
+std::string
+CheckpointFarm::defaultDir()
+{
+    const char *env = std::getenv("BVL_CKPT_DIR");
+    return env && *env ? env : ".bvl-ckpt";
+}
+
+std::uint64_t
+CheckpointFarm::budgetBytesFromEnv()
+{
+    return std::uint64_t(envInt("BVL_CKPT_BUDGET_MB", 0, 0,
+                                1ll << 30)) *
+           (1ull << 20);
+}
+
+long long
+CheckpointFarm::lockTimeoutMsFromEnv()
+{
+    return envInt("BVL_CKPT_LOCK_TIMEOUT_MS", 60000, 1,
+                  24ll * 3600 * 1000);
+}
+
+std::string
+CheckpointFarm::prefixHashHex(const std::string &workloadName,
+                              std::uint64_t ffInsts,
+                              const std::string &flavor,
+                              std::uint64_t vlenBits,
+                              const std::string &inputSha)
+{
+    Sha256 d;
+    auto feed = [&](const std::string &s) {
+        d.update(s.data(), s.size());
+        d.update("\0", 1);
+    };
+    feed(workloadName);
+    feed(std::to_string(ffInsts));
+    feed(flavor);
+    feed(std::to_string(vlenBits));
+    feed(inputSha);
+    feed(kLibraryRevision);
+    return d.hex();
 }
 
 } // namespace bvl

@@ -42,8 +42,10 @@
 #ifndef BVL_SOC_CHECKPOINT_HH
 #define BVL_SOC_CHECKPOINT_HH
 
+#include <cstdint>
 #include <string>
 
+#include "sim/io/content_store.hh"
 #include "soc/soc.hh"
 #include "soc/warm_trace.hh"
 #include "workloads/workload.hh"
@@ -82,11 +84,19 @@ const char *checkpointFlavor(const Soc &soc);
 std::string checkpointInputSha256(const Soc &soc, Workload &workload);
 
 /**
- * Snapshot @p soc to @p path (atomic: temp file + fsync + rename).
- * @p trace is the warm line-access stream recorded during the
- * fast-forward that produced this state; @p inputSha is
- * checkpointInputSha256() of the run's initial inputs. Returns false
- * and fills @p error on I/O failure.
+ * Serialize a checkpoint of @p soc (header line + payload). @p trace
+ * is the warm line-access stream recorded during the fast-forward
+ * that produced this state; @p inputSha is checkpointInputSha256() of
+ * the run's initial inputs.
+ */
+std::string encodeCheckpoint(Soc &soc, const std::string &workloadName,
+                             std::uint64_t ffInsts,
+                             const WarmTrace &trace,
+                             const std::string &inputSha);
+
+/**
+ * encodeCheckpoint() to @p path (atomic: temp file + fsync + rename).
+ * Returns false and fills @p error on I/O failure.
  */
 bool saveCheckpoint(const std::string &path, Soc &soc,
                     const std::string &workloadName,
@@ -107,10 +117,46 @@ CheckpointStatus loadCheckpoint(const std::string &path, Soc &soc,
                                 std::string *error = nullptr);
 
 /**
- * Rename a bad checkpoint to "<path>.corrupt" so a retry never picks
- * it up again. Returns false if the rename failed.
+ * The checkpoint-prefix farm (DESIGN.md §16). A sweep re-runs one
+ * workload prefix under many design points, and the fast-forwarded
+ * prefix is identical for every cell that shares (workload, ffInsts,
+ * flavor, vlen, inputs); so the farm stores one checkpoint per such
+ * prefix, keyed by its SHA-256, and every cell after the first
+ * restores it. The farm is the "ckpt_farm" ContentStore, driven from
+ * fast_forward.cc; this class keeps only the prefix key and the
+ * BVL_CKPT_* defaults.
  */
-bool quarantineCheckpoint(const std::string &path);
+class CheckpointFarm
+{
+  public:
+    /** Store kind: injection-site prefix and counters name. */
+    static constexpr const char *kKind = "ckpt_farm";
+
+    /** The farm store at @p dir, or at defaultDir() if @p dir is "". */
+    static ContentStore open(const std::string &dir);
+
+    /** $BVL_CKPT_DIR, defaulting to ".bvl-ckpt". */
+    static std::string defaultDir();
+
+    /** BVL_CKPT_BUDGET_MB in bytes; 0 (the default) = unlimited. */
+    static std::uint64_t budgetBytesFromEnv();
+
+    /** BVL_CKPT_LOCK_TIMEOUT_MS (default 60000): claim wait bound. */
+    static long long lockTimeoutMsFromEnv();
+
+    /**
+     * Content key of one fast-forward prefix. Everything that shapes
+     * the functional trajectory and warm stream goes in: workload,
+     * instruction count, flavor + vlen (which program text runs and
+     * on what), the input digest (memory image + arguments, hence
+     * scale and datasets), and the library revision.
+     */
+    static std::string prefixHashHex(const std::string &workloadName,
+                                     std::uint64_t ffInsts,
+                                     const std::string &flavor,
+                                     std::uint64_t vlenBits,
+                                     const std::string &inputSha);
+};
 
 } // namespace bvl
 

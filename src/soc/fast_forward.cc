@@ -1,8 +1,8 @@
 #include "soc/fast_forward.hh"
 
+#include "sim/io/content_store.hh"
 #include "sim/logging.hh"
 #include "soc/checkpoint.hh"
-#include "soc/checkpoint_farm.hh"
 
 namespace bvl
 {
@@ -196,7 +196,8 @@ runFastForwarded(Soc &soc, Design design, Workload &workload,
                 // re-simulate the fast-forward region from scratch,
                 // which reproduces the same state by construction.
                 if (st == CheckpointStatus::corrupt) {
-                    quarantineCheckpoint(ckpt.restorePath);
+                    ContentStore::quarantineFile("checkpoint",
+                                                 ckpt.restorePath);
                     warn("checkpoint %s is corrupt (%s); quarantined "
                          "as %s.corrupt and re-simulating",
                          ckpt.restorePath.c_str(), err.c_str(),
@@ -213,9 +214,7 @@ runFastForwarded(Soc &soc, Design design, Workload &workload,
             }
         } else if (ckpt.farm) {
             std::string inputSha = checkpointInputSha256(soc, workload);
-            CheckpointFarm farm(ckpt.farmDir.empty()
-                                    ? CheckpointFarm::defaultDir()
-                                    : ckpt.farmDir);
+            ContentStore farm = CheckpointFarm::open(ckpt.farmDir);
             // Reclaim publish temps orphaned by a dead producer (the
             // first cell per dir pays this; a crash mid-publish must
             // not leak disk forever).
@@ -225,15 +224,16 @@ runFastForwarded(Soc &soc, Design design, Workload &workload,
                 soc.vlenBits(), inputSha);
             std::string entry = farm.entryPath(hash);
 
-            // Optimistic fast path: a published entry restores with
-            // no lock traffic at all.
-            auto tryRestore = [&]() -> bool {
+            // A corrupt entry is quarantined only under the claim, so
+            // exactly one cell moves it aside and none can move aside
+            // a fresh entry published since.
+            auto tryRestore = [&](bool claimed) -> bool {
                 std::string err;
                 CheckpointStatus st = loadCheckpoint(
                     entry, soc, workload.name(), inputSha, &err);
                 if (st == CheckpointStatus::ok) {
-                    CheckpointFarm::touch(entry);
-                    CheckpointFarm::noteHit();
+                    farm.touch(hash);
+                    ++farm.counters().hits;
                     inform("checkpoint farm: restored prefix %s from "
                            "%s", hash.substr(0, 12).c_str(),
                            entry.c_str());
@@ -246,9 +246,8 @@ runFastForwarded(Soc &soc, Design design, Workload &workload,
                     fatal("farm entry %s exists but describes a "
                           "different prefix: %s", entry.c_str(),
                           err.c_str());
-                if (st == CheckpointStatus::corrupt) {
-                    quarantineCheckpoint(entry);
-                    CheckpointFarm::noteCorrupt();
+                if (st == CheckpointStatus::corrupt && claimed) {
+                    farm.quarantine(hash);
                     warn("farm entry %s is corrupt (%s); quarantined "
                          "and re-producing", entry.c_str(),
                          err.c_str());
@@ -256,32 +255,27 @@ runFastForwarded(Soc &soc, Design design, Workload &workload,
                 return false;
             };
 
-            if (CheckpointFarm::storesDisabled()) {
-                // A previous publish failed: don't contend on claims
-                // or retry the bad disk per cell, just fast-forward
-                // privately (restores above still work).
+            // Optimistic fast path: a published entry restores with
+            // no lock traffic at all. After a failed publish the farm
+            // only serves restores: cells fast-forward privately
+            // rather than contend on claims or retry the bad disk.
+            bool restored = tryRestore(false);
+            if (!restored && farm.counters().storesDisabled) {
                 producePrefix(nullptr);
-            } else if (!tryRestore()) {
+            } else if (!restored) {
                 // Single-flight: first claimant produces, everyone
                 // else blocks here and restores what it published.
-                CheckpointFarm::Claim claim(entry);
-                if (!claim.held() || !tryRestore()) {
+                ContentStore::Claim claim(
+                    farm, hash, CheckpointFarm::lockTimeoutMsFromEnv());
+                if (!claim.held() || !tryRestore(true)) {
                     WarmTrace trace;
                     producePrefix(&trace);
-                    std::string err;
-                    if (!saveCheckpoint(entry, soc, workload.name(),
-                                        ckpt.ffInsts, trace, inputSha,
-                                        &err)) {
-                        // The prefix state is already produced in
-                        // this SoC — the run is unharmed. The farm
-                        // just stops accelerating other cells.
-                        CheckpointFarm::disableStores();
-                        warn("cannot publish farm entry %s (%s); farm "
-                             "stores DISABLED — cells fast-forward "
-                             "privately from here on", entry.c_str(),
-                             err.c_str());
-                    } else {
-                        CheckpointFarm::noteProduced();
+                    // A failed put leaves this run unharmed: the
+                    // prefix state is already in this SoC.
+                    if (farm.put(hash, encodeCheckpoint(
+                                           soc, workload.name(),
+                                           ckpt.ffInsts, trace,
+                                           inputSha))) {
                         inform("checkpoint farm: produced prefix %s "
                                "at %s (%llu warm records)",
                                hash.substr(0, 12).c_str(),
@@ -289,8 +283,7 @@ runFastForwarded(Soc &soc, Design design, Workload &workload,
                                static_cast<unsigned long long>(
                                    trace.records()));
                         farm.evictOverBudget(
-                            CheckpointFarm::budgetBytesFromEnv(),
-                            entry);
+                            CheckpointFarm::budgetBytesFromEnv(), hash);
                     }
                 }
             }

@@ -1,9 +1,9 @@
 /**
  * @file
- * Content-addressed result cache with integrity verification.
- *
- * One file per job hash under <dir>/<hh>/<hash>.json (two-hex-char
- * shard directories), holding:
+ * Content-addressed result cache: the RunResult format layer over the
+ * "result_cache" ContentStore (sim/io/content_store.hh), which owns
+ * sharding, atomic publish, quarantine, the stale-temp sweep and the
+ * degradation policy. One entry per job hash, <dir>/<hh>/<hash>.json:
  *
  *   {"schema":"bvl-result-cache-v1","hash":"...","revision":"...",
  *    "digest":"<sha256 of the compact result serialization>",
@@ -11,29 +11,18 @@
  *
  * Only ok results are cached — failures stay a per-sweep journal
  * concern so a transient failure never poisons future sweeps.
- *
- * lookup() re-serializes the embedded result and compares its SHA-256
+ * lookup() re-serializes the embedded result and checks its SHA-256
  * against the stored digest, so a truncated, bit-flipped or
- * hand-edited entry is detected; the bad file is quarantined (renamed
- * to <file>.corrupt) and the lookup misses, which makes the service
- * transparently re-simulate and re-store. Stores are atomic
- * (temp file + fsync + rename), so concurrent sweeps sharing a cache
- * directory never observe a partial entry under its final name.
- *
- * Degradation policy (DESIGN.md §17): the cache is a pure
- * accelerator, so every failure turns into a miss. A failed store
- * additionally disables storing for the rest of the run (one warning)
- * — a full disk should cost one warning, not one per job. All
- * filesystem access goes through the sim/io seam; setDir() sweeps
- * orphaned "*.tmp.*" files left by dead writers.
+ * hand-edited entry is quarantined and misses, and the service
+ * transparently re-simulates and re-stores.
  */
 
 #ifndef BVL_SWEEP_SERVICE_RESULT_CACHE_HH
 #define BVL_SWEEP_SERVICE_RESULT_CACHE_HH
 
-#include <atomic>
 #include <string>
 
+#include "sim/io/content_store.hh"
 #include "soc/run_driver.hh"
 
 namespace bvl
@@ -42,7 +31,8 @@ namespace bvl
 class ResultCache
 {
   public:
-    ResultCache() = default;
+    /** Store kind: injection-site prefix and counters name. */
+    static constexpr const char *kKind = "result_cache";
 
     /**
      * Enable the cache rooted at @p dir (created on first store).
@@ -50,11 +40,13 @@ class ResultCache
      */
     void setDir(std::string dir);
 
-    bool enabled() const { return !_dir.empty(); }
-    const std::string &dir() const { return _dir; }
+    bool enabled() const { return !_store.dir().empty(); }
 
     /** Entry file path for @p hash (valid whether or not it exists). */
-    std::string entryPath(const std::string &hash) const;
+    std::string entryPath(const std::string &hash) const
+    {
+        return _store.entryPath(hash);
+    }
 
     /**
      * Load and verify the entry for @p hash. Returns false on miss,
@@ -65,20 +57,8 @@ class ResultCache
     /** Atomically persist an ok @p result under @p hash. */
     void store(const std::string &hash, const RunResult &result);
 
-    /** Integrity failures detected by lookup() so far. */
-    std::uint64_t corruptEntries() const { return _corrupt; }
-
-    /** True once a failed store disabled further stores this run. */
-    bool storeBroken() const { return _storeBroken; }
-
-    /** Stale temps removed by setDir()'s startup sweep. */
-    unsigned tempsSwept() const { return _tempsSwept; }
-
   private:
-    std::string _dir;
-    std::atomic<std::uint64_t> _corrupt{0};
-    std::atomic<bool> _storeBroken{false};
-    unsigned _tempsSwept = 0;
+    ContentStore _store{kKind, "", ".json"};
 };
 
 } // namespace bvl

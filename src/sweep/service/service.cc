@@ -11,10 +11,11 @@
 #include <thread>
 
 #include "sim/env.hh"
+#include "sim/io/content_store.hh"
 #include "sim/io/io_fault.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
-#include "soc/checkpoint_farm.hh"
+#include "soc/checkpoint.hh"
 #include "soc/run_io.hh"
 #include "sweep/service/job_hash.hh"
 
@@ -448,7 +449,6 @@ SweepService::summary() const
     s.simulated = nSimulated.load(std::memory_order_relaxed);
     s.journalHits = nJournalHits.load(std::memory_order_relaxed);
     s.cacheHits = nCacheHits.load(std::memory_order_relaxed);
-    s.cacheCorrupt = cache.corruptEntries();
     s.retries = nRetries.load(std::memory_order_relaxed);
     s.failed = nFailed.load(std::memory_order_relaxed);
     {
@@ -456,15 +456,18 @@ SweepService::summary() const
         s.quarantines = quarantine.size();
     }
     s.interrupted = stopRequested();
-    s.farmHits = CheckpointFarm::hits();
-    s.farmProduced = CheckpointFarm::produced();
-    s.farmCorrupt = CheckpointFarm::corrupt();
-    s.farmEvicted = CheckpointFarm::evicted();
+    const auto &cacheStore = ContentStore::counters(ResultCache::kKind);
+    s.cacheCorrupt = cacheStore.corrupt;
+    s.cacheDegraded = cacheStore.storesDisabled;
+    const auto &farm = ContentStore::counters(CheckpointFarm::kKind);
+    s.farmHits = farm.hits;
+    s.farmProduced = farm.produced;
+    s.farmCorrupt = farm.corrupt;
+    s.farmEvicted = farm.evicted;
+    s.farmDegraded = farm.storesDisabled;
     s.tmpCleaned = io::ioTempsCleaned();
     s.ioFaults = io::ioFaultsFired();
     s.journalDegraded = journal.degraded();
-    s.cacheDegraded = cache.storeBroken();
-    s.farmDegraded = CheckpointFarm::storesDisabled();
     return s;
 }
 

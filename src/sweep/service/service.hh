@@ -135,16 +135,17 @@ class SweepService
         std::uint64_t simulated = 0;    ///< simulation attempts executed
         std::uint64_t journalHits = 0;  ///< served from the journal
         std::uint64_t cacheHits = 0;    ///< served from the cache
+        /**
+         * cacheCorrupt, cacheDegraded and the farm* fields read the
+         * stores' process-wide ContentStore counters (thread-mode
+         * only — isolate-mode children count in their own processes
+         * and report via each cell's log instead).
+         */
         std::uint64_t cacheCorrupt = 0; ///< quarantined cache entries
         std::uint64_t retries = 0;      ///< extra attempts after failures
         std::uint64_t quarantines = 0;  ///< jobs that exhausted retries
         std::uint64_t failed = 0;       ///< jobs with a non-ok result
         bool interrupted = false;       ///< a stop was requested
-        /**
-         * Checkpoint-farm telemetry (CheckpointFarm's process-wide
-         * counters; thread-mode only — isolate-mode children count in
-         * their own processes and report via each cell's log instead).
-         */
         std::uint64_t farmHits = 0;      ///< prefixes restored
         std::uint64_t farmProduced = 0;  ///< prefixes fast-forwarded
         std::uint64_t farmCorrupt = 0;   ///< entries quarantined

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "soc/checkpoint.hh"
-#include "soc/checkpoint_farm.hh"
 #include "soc/run_driver.hh"
 #include "soc/run_io.hh"
 #include "sweep/service/service.hh"
@@ -296,6 +295,13 @@ farmOpts(const std::string &dir, std::uint64_t ff)
     return o;
 }
 
+/** The checkpoint farm's process-wide store counters. */
+ContentStore::Counters &
+farmCounters()
+{
+    return ContentStore::counters(CheckpointFarm::kKind);
+}
+
 /** Published "*.bvl" entries under the farm directory. */
 std::vector<std::filesystem::path>
 farmEntries(const std::string &dir)
@@ -321,8 +327,8 @@ TEST(CheckpointTest, FarmProducesOnceThenRestoresByteIdentical)
                                  cold);
     ASSERT_TRUE(base.ok()) << base.message;
 
-    std::uint64_t p0 = CheckpointFarm::produced();
-    std::uint64_t h0 = CheckpointFarm::hits();
+    std::uint64_t p0 = farmCounters().produced;
+    std::uint64_t h0 = farmCounters().hits;
 
     RunResult first = runWorkload(Design::d1b4VL, "saxpy", Scale::tiny,
                                   farmOpts(dir, 150));
@@ -337,8 +343,8 @@ TEST(CheckpointTest, FarmProducesOnceThenRestoresByteIdentical)
     EXPECT_NE(second.log.find("restored prefix"), std::string::npos)
         << second.log;
 
-    EXPECT_EQ(CheckpointFarm::produced() - p0, 1u);
-    EXPECT_EQ(CheckpointFarm::hits() - h0, 1u);
+    EXPECT_EQ(farmCounters().produced - p0, 1u);
+    EXPECT_EQ(farmCounters().hits - h0, 1u);
     EXPECT_EQ(farmEntries(dir).size(), 1u);
 
     // The farm is a pure wall-clock optimization: both the producing
@@ -354,8 +360,8 @@ TEST(CheckpointTest, FarmSharesOnePrefixAcrossGeometries)
     // windows differ, but the functional prefix (flavor, VLEN 512,
     // inputs) is identical — one entry serves both.
     std::string dir = scratchDir("farmgeo");
-    std::uint64_t p0 = CheckpointFarm::produced();
-    std::uint64_t h0 = CheckpointFarm::hits();
+    std::uint64_t p0 = farmCounters().produced;
+    std::uint64_t h0 = farmCounters().hits;
 
     for (unsigned depth : {2u, 32u}) {
         RunOptions cold;
@@ -375,8 +381,8 @@ TEST(CheckpointTest, FarmSharesOnePrefixAcrossGeometries)
         EXPECT_EQ(dumpNoLog(r), dumpNoLog(base)) << "depth " << depth;
     }
 
-    EXPECT_EQ(CheckpointFarm::produced() - p0, 1u);
-    EXPECT_EQ(CheckpointFarm::hits() - h0, 1u);
+    EXPECT_EQ(farmCounters().produced - p0, 1u);
+    EXPECT_EQ(farmCounters().hits - h0, 1u);
     EXPECT_EQ(farmEntries(dir).size(), 1u);
 }
 
@@ -405,13 +411,13 @@ TEST(CheckpointTest, FarmCorruptEntryIsQuarantinedAndReproduced)
         f.put(static_cast<char>(c ^ 0xff));
     }
 
-    std::uint64_t c0 = CheckpointFarm::corrupt();
+    std::uint64_t c0 = farmCounters().corrupt;
     RunResult second = runWorkload(Design::d1b4VL, "saxpy",
                                    Scale::tiny, farmOpts(dir, 150));
     ASSERT_TRUE(second.ok()) << second.message;
     EXPECT_NE(second.log.find("quarantined"), std::string::npos)
         << second.log;
-    EXPECT_EQ(CheckpointFarm::corrupt() - c0, 1u);
+    EXPECT_EQ(farmCounters().corrupt - c0, 1u);
     EXPECT_TRUE(std::filesystem::exists(entry + ".corrupt"));
     // The prefix was re-produced, republished, and the result is
     // unchanged — a corrupt entry costs time, never correctness.
@@ -426,44 +432,77 @@ TEST(CheckpointTest, FarmCorruptEntryIsQuarantinedAndReproduced)
     EXPECT_EQ(dumpNoLog(third), dumpNoLog(first));
 }
 
+/**
+ * Plant a fake 1000-byte entry @p hash in @p farm, last used
+ * @p ageSec seconds ago. Returns its path.
+ */
+std::string
+plantEntry(const ContentStore &farm, const std::string &hash,
+           int ageSec)
+{
+    std::string path = farm.entryPath(hash);
+    std::filesystem::create_directories(
+        std::filesystem::path(path).parent_path());
+    std::ofstream(path, std::ios::binary) << std::string(1000, 'x');
+    std::filesystem::last_write_time(
+        path, std::filesystem::file_time_type::clock::now() -
+                  std::chrono::seconds(ageSec));
+    return path;
+}
+
 TEST(CheckpointTest, FarmEvictsOldestEntriesOverBudget)
 {
     std::string dir = scratchDir("farmlru");
-    CheckpointFarm farm(dir);
+    ContentStore farm = CheckpointFarm::open(dir);
 
     // Three fake 1000-byte entries with strictly increasing mtimes.
-    auto plant = [&](const char *name, int ageSec) {
-        std::string path = dir + "/" + name;
-        std::filesystem::create_directories(
-            std::filesystem::path(path).parent_path());
-        std::ofstream(path, std::ios::binary)
-            << std::string(1000, 'x');
-        std::filesystem::last_write_time(
-            path, std::filesystem::file_time_type::clock::now() -
-                      std::chrono::seconds(ageSec));
-        return path;
-    };
-    std::string oldest = plant("aa/a.bvl", 300);
-    std::string middle = plant("bb/b.bvl", 200);
-    std::string newest = plant("cc/c.bvl", 100);
+    std::string oldest = plantEntry(farm, "aa01", 300);
+    std::string middle = plantEntry(farm, "bb01", 200);
+    std::string newest = plantEntry(farm, "cc01", 100);
 
     // Unlimited budget evicts nothing.
-    EXPECT_EQ(farm.evictOverBudget(0, newest), 0u);
+    EXPECT_EQ(farm.evictOverBudget(0, "cc01"), 0u);
     EXPECT_EQ(farmEntries(dir).size(), 3u);
 
     // 2000-byte budget: only the oldest entry goes.
-    std::uint64_t e0 = CheckpointFarm::evicted();
-    EXPECT_EQ(farm.evictOverBudget(2000, newest), 1u);
+    std::uint64_t e0 = farmCounters().evicted;
+    EXPECT_EQ(farm.evictOverBudget(2000, "cc01"), 1u);
     EXPECT_FALSE(std::filesystem::exists(oldest));
     EXPECT_TRUE(std::filesystem::exists(middle));
     EXPECT_TRUE(std::filesystem::exists(newest));
-    EXPECT_EQ(CheckpointFarm::evicted() - e0, 1u);
+    EXPECT_EQ(farmCounters().evicted - e0, 1u);
 
     // The just-produced entry is never evicted, even when it is the
     // only way to fit the budget.
-    EXPECT_EQ(farm.evictOverBudget(500, newest), 1u);
+    EXPECT_EQ(farm.evictOverBudget(500, "cc01"), 1u);
     EXPECT_FALSE(std::filesystem::exists(middle));
     EXPECT_TRUE(std::filesystem::exists(newest));
+}
+
+TEST(CheckpointTest, FarmEvictionSkipsEntriesThatCannotBeStated)
+{
+    // A "*.bvl" that vanished under a concurrent evictor, or a
+    // dangling link, must not end the walk: every shard holds one
+    // next to a real entry, so stopping at the first one would leave
+    // the farm over budget.
+    std::string dir = scratchDir("farmdangling");
+    ContentStore farm = CheckpointFarm::open(dir);
+    const char *shards[] = {"aa", "bb", "cc", "dd"};
+    std::vector<std::string> real;
+    for (int i = 0; i < 4; ++i) {
+        std::string shard = shards[i];
+        real.push_back(plantEntry(farm, shard + "01", 400 - 100 * i));
+        std::filesystem::create_symlink(
+            dir + "/" + shard + "/gone.bvl",
+            farm.entryPath(shard + "00"));
+    }
+
+    std::uint64_t e0 = farmCounters().evicted;
+    EXPECT_EQ(farm.evictOverBudget(1500, "dd01"), 3u);
+    EXPECT_EQ(farmCounters().evicted - e0, 3u);
+    for (int i = 0; i < 3; ++i)
+        EXPECT_FALSE(std::filesystem::exists(real[i])) << real[i];
+    EXPECT_TRUE(std::filesystem::exists(real[3]));
 }
 
 // --- invalid mode combinations -----------------------------------------

@@ -40,7 +40,6 @@
 #include "sim/io/sim_io.hh"
 #include "sim/check/forensics.hh"
 #include "soc/checkpoint.hh"
-#include "soc/checkpoint_farm.hh"
 #include "soc/run_driver.hh"
 #include "soc/run_io.hh"
 #include "sweep/service/job_hash.hh"
@@ -79,19 +78,19 @@ tempsUnder(const std::string &dir)
     return out;
 }
 
-/** RAII reset of the process-wide injector + farm + stop state. */
+/** RAII reset of the process-wide injector + store + stop state. */
 struct InjectorReset
 {
     InjectorReset()
     {
         io::ioFaultReset();
-        CheckpointFarm::resetForTest();
+        ContentStore::resetForTest();
         SweepService::clearStop();
     }
     ~InjectorReset()
     {
         io::ioFaultReset();
-        CheckpointFarm::resetForTest();
+        ContentStore::resetForTest();
         SweepService::clearStop();
     }
 };
@@ -373,20 +372,21 @@ TEST(IoFaultSeamTest, FarmClaimFallsBackAfterLockTimeout)
 {
     InjectorReset reset;
     std::string dir = scratchDir("claim");
-    std::string entry = dir + "/ab/e.bvl";
+    ContentStore farm = CheckpointFarm::open(dir);
+    std::string entry = farm.entryPath("abe");
     std::filesystem::create_directories(dir + "/ab");
 
     int holder = io::lockExclusive("t.flock", entry + ".lock", 1000);
     ASSERT_GE(holder, 0);
     {
-        CheckpointFarm::Claim claim(entry, 60);
+        ContentStore::Claim claim(farm, "abe", 60);
         EXPECT_FALSE(claim.held());
     }
     io::unlockAndClose(holder);
     {
         // Holder gone: the claim acquires and reclaims entry temps.
         std::ofstream(entry + ".tmp.999999999") << "orphan";
-        CheckpointFarm::Claim claim(entry, 1000);
+        ContentStore::Claim claim(farm, "abe", 1000);
         EXPECT_TRUE(claim.held());
         EXPECT_FALSE(
             std::filesystem::exists(entry + ".tmp.999999999"));
@@ -563,9 +563,9 @@ TEST(IoFaultDegradationTest, FarmPublishFailureFallsBackPrivately)
 
     std::filesystem::remove_all(dir + "/farm");
     io::ioFaultReset();
-    CheckpointFarm::resetForTest();
+    ContentStore::resetForTest();
     io::ioFaultInstall(
-        io::ioFaultPlanFromSpec("enospc@checkpoint.save.write"));
+        io::ioFaultPlanFromSpec("enospc@ckpt_farm.store.write"));
     {
         SweepServiceOptions o;
         o.jobs = 1;
@@ -630,10 +630,10 @@ chaosJobs(const ChaosDirs &d)
         jobs.push_back(std::move(j));
     }
 
-    // A traced job. The checkpoint.save/load sites the explicit
-    // save/restore path would add are the same labels the farm jobs
-    // above reach; the explicit path's (deliberately fatal) policy is
-    // covered by the checkpoint suite and the shell harness.
+    // A traced job. The farm jobs above reach checkpoint.load.read,
+    // the read site the explicit restore path uses too; the explicit
+    // save path's (deliberately fatal) policy is covered by the
+    // checkpoint suite and the shell harness.
     {
         SweepJob j = vvaddJob(Design::d1b);
         j.opts.trace.path = d.root + "/events.json";
@@ -653,7 +653,7 @@ ChaosRun
 runChaosSweep(const ChaosDirs &d)
 {
     SweepService::clearStop();
-    CheckpointFarm::resetForTest();
+    ContentStore::resetForTest();
     ChaosRun out;
     try {
         SweepServiceOptions o;

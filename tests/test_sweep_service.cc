@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "sim/check/forensics.hh"
-#include "soc/checkpoint_farm.hh"
+#include "soc/checkpoint.hh"
 #include "soc/run_io.hh"
 #include "vector/engine_presets.hh"
 #include "sweep/service/digest.hh"
@@ -56,6 +56,19 @@ SweepJob
 vvaddJob()
 {
     return {Design::d1b4VL, "vvadd", Scale::tiny, {}};
+}
+
+/** Process-wide counters of the result cache and the farm stores. */
+ContentStore::Counters &
+cacheCounters()
+{
+    return ContentStore::counters(ResultCache::kKind);
+}
+
+ContentStore::Counters &
+farmCounters()
+{
+    return ContentStore::counters(CheckpointFarm::kKind);
 }
 
 void
@@ -347,6 +360,7 @@ TEST(SweepServiceTest, CacheStoresAndVerifies)
     RunResult r = runWorkload(job.design, job.workload, job.scale);
     ASSERT_TRUE(r.ok());
 
+    std::uint64_t c0 = cacheCounters().corrupt;
     ResultCache cache;
     cache.setDir(dir);
     RunResult out;
@@ -354,7 +368,7 @@ TEST(SweepServiceTest, CacheStoresAndVerifies)
     cache.store(hash, r);
     ASSERT_TRUE(cache.lookup(hash, &out));
     expectSameResult(out, r);
-    EXPECT_EQ(cache.corruptEntries(), 0u);
+    EXPECT_EQ(cacheCounters().corrupt - c0, 0u);
 }
 
 TEST(SweepServiceTest, CacheQuarantinesCorruptEntries)
@@ -365,6 +379,7 @@ TEST(SweepServiceTest, CacheQuarantinesCorruptEntries)
     RunResult r = runWorkload(job.design, job.workload, job.scale);
     ASSERT_TRUE(r.ok());
 
+    std::uint64_t c0 = cacheCounters().corrupt;
     ResultCache cache;
     cache.setDir(dir);
     cache.store(hash, r);
@@ -383,7 +398,7 @@ TEST(SweepServiceTest, CacheQuarantinesCorruptEntries)
 
     RunResult out;
     EXPECT_FALSE(cache.lookup(hash, &out));
-    EXPECT_EQ(cache.corruptEntries(), 1u);
+    EXPECT_EQ(cacheCounters().corrupt - c0, 1u);
     EXPECT_FALSE(std::filesystem::exists(path));
     EXPECT_TRUE(std::filesystem::exists(path + ".corrupt"));
 
@@ -393,7 +408,7 @@ TEST(SweepServiceTest, CacheQuarantinesCorruptEntries)
     ASSERT_TRUE(cache.lookup(hash, &out));
     std::filesystem::resize_file(path, 10);
     EXPECT_FALSE(cache.lookup(hash, &out));
-    EXPECT_EQ(cache.corruptEntries(), 2u);
+    EXPECT_EQ(cacheCounters().corrupt - c0, 2u);
 }
 
 // --- deterministic backoff ---------------------------------------------
@@ -727,8 +742,8 @@ TEST(SweepServiceFarmConcurrencyTest, RacingCellsProduceOnePrefix)
         cold.push_back(runResultToJson(r).dump(0));
     }
 
-    std::uint64_t p0 = CheckpointFarm::produced();
-    std::uint64_t h0 = CheckpointFarm::hits();
+    std::uint64_t p0 = farmCounters().produced;
+    std::uint64_t h0 = farmCounters().hits;
 
     SweepServiceOptions o;
     o.jobs = cells;
@@ -749,8 +764,8 @@ TEST(SweepServiceFarmConcurrencyTest, RacingCellsProduceOnePrefix)
     }
 
     // Single-flight: one producer, everyone else a hit, one entry.
-    EXPECT_EQ(CheckpointFarm::produced() - p0, 1u);
-    EXPECT_EQ(CheckpointFarm::hits() - h0, cells - 1);
+    EXPECT_EQ(farmCounters().produced - p0, 1u);
+    EXPECT_EQ(farmCounters().hits - h0, cells - 1);
     unsigned entries = 0;
     std::error_code ec;
     for (auto it = std::filesystem::recursive_directory_iterator(
