@@ -19,12 +19,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <future>
 #include <string>
 #include <vector>
 
+#include "sim/check/forensics.hh"
 #include "sim/env.hh"
 #include "sim/logging.hh"
 #include "soc/run_driver.hh"
@@ -44,17 +44,6 @@ chosenScale(Scale fallback)
       case 2: return Scale::medium;
       default: return fallback;
     }
-}
-
-inline const char *
-scaleName(Scale s)
-{
-    switch (s) {
-      case Scale::tiny: return "tiny";
-      case Scale::small: return "small";
-      case Scale::medium: return "medium";
-    }
-    return "?";
 }
 
 /** Names of the registered workloads in @p suites, in table order. */
@@ -126,34 +115,6 @@ applyCkptEnv(RunOptions &opts)
 }
 
 /**
- * Sweep-service configuration shared by every figure bench:
- *
- *  - journal: ${BVL_SWEEP_DIR:-.bvl-sweep}/<bench>.journal.jsonl.
- *    BVL_SWEEP_JOURNAL=0 disables journaling; any other non-"1" value
- *    overrides the journal path verbatim.
- *  - cache: BVL_CACHE_DIR (unset = no cache).
- *  - isolation: BVL_SWEEP_ISOLATE=1 (read by SweepService itself).
- */
-inline SweepServiceOptions
-benchServiceOptions(const char *benchName)
-{
-    SweepServiceOptions o;
-    const char *j = std::getenv("BVL_SWEEP_JOURNAL");
-    if (j && !std::strcmp(j, "0")) {
-        // Journaling explicitly off.
-    } else if (j && *j && std::strcmp(j, "1") != 0) {
-        o.journalPath = j;
-    } else {
-        const char *dir = std::getenv("BVL_SWEEP_DIR");
-        o.journalPath = std::string(dir && *dir ? dir : ".bvl-sweep") +
-                        "/" + benchName + ".journal.jsonl";
-    }
-    if (const char *c = std::getenv("BVL_CACHE_DIR"); c && *c)
-        o.cacheDir = c;
-    return o;
-}
-
-/**
  * Run a bench body under graceful-stop supervision: installs the
  * SIGINT/SIGTERM handlers, translates SweepInterrupted into the
  * distinct resumable exit code (75), and prints the machine-readable
@@ -193,16 +154,6 @@ checkResult(RunResult r)
              runStatusName(r.status), r.message.empty() ? "" : ": ",
              r.message.c_str());
     return r;
-}
-
-/** Run and insist on a finished, verified result. */
-inline RunResult
-runChecked(Design d, const std::string &name, Scale scale,
-           RunOptions opts = {})
-{
-    applyTraceEnv(opts, d, name);
-    applyCkptEnv(opts);
-    return checkResult(runWorkload(d, name, scale, opts));
 }
 
 /**

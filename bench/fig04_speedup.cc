@@ -77,7 +77,7 @@ main()
 {
     setVerbose(false);
     Scale scale = chosenScale(Scale::small);
-    SweepService pool(benchServiceOptions("fig04_speedup"));
+    SweepService pool(SweepServiceOptions::fromEnv("fig04_speedup"));
     printHeader("Figure 4: speedup over 1L", scale);
     return finishSweep(pool, [&] {
         runSuite("task-parallel (Ligra)", taskParallelNames(), scale,

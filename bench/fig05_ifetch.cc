@@ -21,7 +21,7 @@ main()
 
     const Design designs[] = {Design::d1bIV4L, Design::d1bDV,
                               Design::d1b4VL};
-    SweepService pool(benchServiceOptions("fig05_ifetch"));
+    SweepService pool(SweepServiceOptions::fromEnv("fig05_ifetch"));
     return finishSweep(pool, [&] {
         SweepResults runs(pool);
         for (const auto &name : dataParallelNames())

@@ -20,7 +20,7 @@ main()
 
     const Design designs[] = {Design::d1bIV4L, Design::d1bDV,
                               Design::d1b4VL};
-    SweepService pool(benchServiceOptions("fig06_dreq"));
+    SweepService pool(SweepServiceOptions::fromEnv("fig06_dreq"));
     return finishSweep(pool, [&] {
         SweepResults runs(pool);
         for (const auto &name : dataParallelNames())

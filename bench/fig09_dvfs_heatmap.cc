@@ -66,7 +66,7 @@ main()
     printHeader("Figure 9: V/f scaling heat maps for 1bIV-4L and "
                 "1b-4VL", scale);
 
-    SweepService pool(benchServiceOptions("fig09_dvfs_heatmap"));
+    SweepService pool(SweepServiceOptions::fromEnv("fig09_dvfs_heatmap"));
     return finishSweep(pool, [&] {
         SweepResults runs(pool);
         for (const auto &name : dataParallelNames()) {

@@ -20,7 +20,7 @@ main()
     printHeader("Figure 10: 1b-4VL execution time vs power across V/f "
                 "combinations", scale);
 
-    SweepService pool(benchServiceOptions("fig10_vf_pareto"));
+    SweepService pool(SweepServiceOptions::fromEnv("fig10_vf_pareto"));
     return finishSweep(pool, [&] {
         SweepResults runs(pool);
         for (const auto &name : dataParallelNames()) {

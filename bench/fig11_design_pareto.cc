@@ -22,7 +22,7 @@ main()
     const Design designs[] = {Design::d1b4L, Design::d1bIV4L,
                               Design::d1bDV, Design::d1b4VL};
 
-    SweepService pool(benchServiceOptions("fig11_design_pareto"));
+    SweepService pool(SweepServiceOptions::fromEnv("fig11_design_pareto"));
     return finishSweep(pool, [&] {
         SweepResults runs(pool);
         for (const auto &name : dataParallelNames()) {
@@ -53,7 +53,7 @@ main()
                     for (unsigned li = 0; li < lcount; ++li) {
                         auto r = runs.pop();
                         if (!usable(r))
-                            continue;   // runChecked already warned
+                            continue;   // pop() already warned
                         points.push_back(
                             {bi, li, r.ns,
                              systemPowerW(d, bigLevels[bi],

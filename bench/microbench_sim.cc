@@ -15,7 +15,7 @@
 #include "sim/check/invariants.hh"
 #include "sim/clock_domain.hh"
 #include "sim/event_queue.hh"
-#include "sweep/sweep_runner.hh"
+#include "sweep/service/service.hh"
 
 namespace
 {
@@ -304,31 +304,38 @@ BM_BigCoreSimSpeed(benchmark::State &state)
 BENCHMARK(BM_BigCoreSimSpeed);
 
 /**
- * End-to-end sweep throughput through the parallel runner: a small
- * grid of independent simulations at the given thread count. Arg(1)
- * is the serial (inline) baseline; higher args exercise the pool.
- * Real time: the main thread's CPU time misses the workers' work.
+ * End-to-end sweep throughput through the sweep service's worker pool
+ * (no journal, no cache): a small grid of independent simulations at
+ * the given thread count. Arg(1) is the serial (inline) baseline;
+ * higher args exercise the pool. Real time: the main thread's CPU
+ * time misses the workers' work.
  */
 void
-BM_SweepRunner(benchmark::State &state)
+BM_SweepService(benchmark::State &state)
 {
     std::vector<SweepJob> grid;
     for (const char *name : {"vvadd", "saxpy"})
         for (Design d : {Design::d1L, Design::d1b, Design::d1b4VL})
             grid.push_back({d, name, Scale::tiny, {}});
+    SweepServiceOptions opts;
+    opts.jobs = static_cast<unsigned>(state.range(0));
     std::uint64_t completed = 0;
     for (auto _ : state) {
-        auto results =
-            runSweep(grid, static_cast<unsigned>(state.range(0)));
-        for (const auto &r : results)
+        SweepService service(opts);
+        std::vector<std::future<RunResult>> futures;
+        for (const auto &job : grid)
+            futures.push_back(service.submit(job));
+        for (auto &f : futures) {
+            RunResult r = f.get();
             if (r.ok())
                 ++completed;
-        benchmark::DoNotOptimize(results);
+            benchmark::DoNotOptimize(r);
+        }
     }
     state.counters["runs/s"] = benchmark::Counter(
         static_cast<double>(completed), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_SweepRunner)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+BENCHMARK(BM_SweepService)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 } // namespace
 

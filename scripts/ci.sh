@@ -2,8 +2,8 @@
 # Tier-1 verification: build and run the full test suite normally and
 # under AddressSanitizer + UBSan, run the checker-enabled suite under
 # plain UBSan, run the concurrency/determinism tests under
-# ThreadSanitizer to check the parallel sweep runner and the library's
-# re-entrancy guarantees, smoke the failure-forensics pipeline
+# ThreadSanitizer to check the sweep service's worker pool and the
+# library's re-entrancy guarantees, smoke the failure-forensics pipeline
 # (deliberately fatal fault plan -> JSON report -> plan minimizer),
 # smoke the sweep service's crash safety (kill -9/resume, cache
 # poisoning, isolation, SIGINT; scripts/sweep_smoke.sh), smoke

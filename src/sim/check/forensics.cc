@@ -120,31 +120,31 @@ faultSpecFromJson(const Json &j)
 }
 
 Json
-replayRecipeToJson(const ReplayRecipe &recipe)
+replayRecipeToJson(const SweepJob &recipe)
 {
     Json j = Json::object();
     j.set("design", designName(recipe.design));
     j.set("workload", recipe.workload);
     j.set("scale", scaleName(recipe.scale));
-    j.set("options", runOptionsToJson(recipe.options));
+    j.set("options", runOptionsToJson(recipe.opts));
     return j;
 }
 
-ReplayRecipe
+SweepJob
 replayRecipeFromJson(const Json &j)
 {
     if (!j.has("design") || !j.has("workload") || !j.has("scale"))
         fatal("replay recipe: missing design/workload/scale");
-    ReplayRecipe recipe;
+    SweepJob recipe;
     recipe.design = parseDesign(j["design"].asString());
     recipe.workload = j["workload"].asString();
     recipe.scale = parseScale(j["scale"].asString());
-    recipe.options = runOptionsFromJson(j["options"]);
+    recipe.opts = runOptionsFromJson(j["options"]);
     return recipe;
 }
 
 Json
-buildFailureReport(const RunResult &r, const ReplayRecipe &recipe)
+buildFailureReport(const RunResult &r, const SweepJob &recipe)
 {
     Json j = Json::object();
     j.set("schema", "bvl-failure-report-v1");
@@ -174,7 +174,7 @@ buildFailureReport(const RunResult &r, const ReplayRecipe &recipe)
 
 bool
 writeFailureReport(const std::string &path, const RunResult &r,
-                   const ReplayRecipe &recipe)
+                   const SweepJob &recipe)
 {
     // A report that cannot be written costs a warning, never the
     // run's own status — the failure being reported is the news, not
@@ -191,8 +191,8 @@ writeFailureReport(const std::string &path, const RunResult &r,
     return true;
 }
 
-ReplayRecipe
-loadReplayRecipe(const std::string &path)
+SweepJob
+loadReplayJob(const std::string &path)
 {
     std::string text;
     std::string err;
@@ -207,13 +207,13 @@ loadReplayRecipe(const std::string &path)
 }
 
 RunResult
-runReplay(const ReplayRecipe &recipe)
+runReplay(const SweepJob &recipe)
 {
-    ReplayRecipe rerun = recipe;
+    SweepJob rerun = recipe;
     // Never clobber the report being replayed from.
-    rerun.options.check.forensicsPath.clear();
+    rerun.opts.check.forensicsPath.clear();
     return runWorkload(rerun.design, rerun.workload, rerun.scale,
-                       rerun.options);
+                       rerun.opts);
 }
 
 } // namespace bvl

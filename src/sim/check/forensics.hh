@@ -26,27 +26,21 @@
 namespace bvl
 {
 
-/** Everything needed to deterministically re-run one failing run. */
-struct ReplayRecipe
-{
-    Design design = Design::d1b4VL;
-    std::string workload;
-    Scale scale = Scale::tiny;
-    RunOptions options{};
-};
-
 const char *scaleName(Scale s);
 
-/** JSON <-> recipe. fromJson throws SimFatalError on malformed input. */
-Json replayRecipeToJson(const ReplayRecipe &recipe);
-ReplayRecipe replayRecipeFromJson(const Json &j);
+/**
+ * JSON <-> replay recipe: the SweepJob that deterministically re-runs
+ * one failing run. fromJson throws SimFatalError on malformed input.
+ */
+Json replayRecipeToJson(const SweepJob &recipe);
+SweepJob replayRecipeFromJson(const Json &j);
 
 /** JSON <-> fault plan (shared with the recipe serialization). */
 Json faultSpecToJson(const FaultSpec &spec);
 FaultSpec faultSpecFromJson(const Json &j);
 
 /** Build the full "bvl-failure-report-v1" document for @p r. */
-Json buildFailureReport(const RunResult &r, const ReplayRecipe &recipe);
+Json buildFailureReport(const RunResult &r, const SweepJob &recipe);
 
 /**
  * Serialize @p r to @p path. Returns false (with a warn()) when the
@@ -54,21 +48,21 @@ Json buildFailureReport(const RunResult &r, const ReplayRecipe &recipe);
  * failure into a crash.
  */
 bool writeFailureReport(const std::string &path, const RunResult &r,
-                        const ReplayRecipe &recipe);
+                        const SweepJob &recipe);
 
 /**
  * Load the replay recipe from @p path, accepting either a full
  * failure report (its "replay" member) or a bare recipe document.
  * Throws SimFatalError on unreadable or malformed files.
  */
-ReplayRecipe loadReplayRecipe(const std::string &path);
+SweepJob loadReplayJob(const std::string &path);
 
 /**
  * Re-run the recipe's workload/design/options. The recipe's
  * forensicsPath is cleared first so a replay never overwrites the
  * report it came from.
  */
-RunResult runReplay(const ReplayRecipe &recipe);
+RunResult runReplay(const SweepJob &recipe);
 
 } // namespace bvl
 

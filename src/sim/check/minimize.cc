@@ -4,7 +4,7 @@
 #include <future>
 
 #include "sim/logging.hh"
-#include "sweep/sweep_runner.hh"
+#include "sweep/service/service.hh"
 
 namespace bvl
 {
@@ -13,15 +13,14 @@ namespace
 {
 
 /** Recipe with only the given original-script positions kept. */
-ReplayRecipe
-subsetRecipe(const ReplayRecipe &base,
-             const std::vector<std::size_t> &keep)
+SweepJob
+subsetRecipe(const SweepJob &base, const std::vector<std::size_t> &keep)
 {
-    ReplayRecipe r = base;
-    r.options.check.forensicsPath.clear();
-    r.options.faults.script.clear();
+    SweepJob r = base;
+    r.opts.check.forensicsPath.clear();
+    r.opts.faults.script.clear();
     for (std::size_t i : keep)
-        r.options.faults.script.push_back(base.options.faults.script[i]);
+        r.opts.faults.script.push_back(base.opts.faults.script[i]);
     return r;
 }
 
@@ -52,18 +51,19 @@ complementOf(const std::vector<std::size_t> &all,
 } // namespace
 
 MinimizeOutcome
-minimizeFaultPlan(const ReplayRecipe &failing,
-                  const MinimizeOptions &mopts)
+minimizeFaultPlan(const SweepJob &failing, const MinimizeOptions &mopts)
 {
     MinimizeOutcome out;
-    SweepRunner runner(mopts.jobs);
+    SweepServiceOptions sopts;
+    sopts.jobs = mopts.jobs;
+    sopts.maxAttempts = 1;
+    SweepService service(sopts);
 
     // Oracle: a candidate "fails" when it reproduces the baseline
-    // status exactly. All candidate runs go through the runner so
+    // status exactly. All candidate runs go through the service so
     // rounds parallelize; consumption stays in submission order.
-    auto runKeep = [&](std::vector<std::size_t> keep) {
-        ReplayRecipe r = subsetRecipe(failing, std::move(keep));
-        return runner.submit([r] { return runReplay(r); });
+    auto runKeep = [&](const std::vector<std::size_t> &keep) {
+        return service.submit(subsetRecipe(failing, keep));
     };
 
     out.oracleRuns = 1;
@@ -72,7 +72,7 @@ minimizeFaultPlan(const ReplayRecipe &failing,
         fatal("minimizeFaultPlan: the given plan does not fail");
     out.target = baseline.status;
 
-    std::vector<std::size_t> current(failing.options.faults.script.size());
+    std::vector<std::size_t> current(failing.opts.faults.script.size());
     for (std::size_t i = 0; i < current.size(); ++i)
         current[i] = i;
 
@@ -140,7 +140,7 @@ minimizeFaultPlan(const ReplayRecipe &failing,
         for (std::size_t i = 0; i < current.size(); ++i) {
             std::vector<std::size_t> keep = current;
             keep.erase(keep.begin() + static_cast<std::ptrdiff_t>(i));
-            futs.push_back(runKeep(std::move(keep)));
+            futs.push_back(runKeep(keep));
         }
         stable = true;
         for (std::size_t i = 0; i < futs.size(); ++i) {

@@ -2,15 +2,16 @@
  * @file
  * Automatic fault-plan minimization (delta debugging).
  *
- * Given a replay recipe whose scripted fault plan makes the run fail,
- * minimizeFaultPlan() shrinks the script to a minimal subset of
- * injections that still produces the *same* failure status, using the
- * classic ddmin algorithm over script indices. Every candidate subset
- * is an independent deterministic simulation, so each ddmin round
- * fans its candidates out on a SweepRunner; results are consumed in
- * submission order and the first still-failing candidate (in that
- * order) is adopted, which makes the minimization deterministic for
- * any BVL_JOBS value.
+ * Given a replay recipe (a SweepJob) whose scripted fault plan makes
+ * the run fail, minimizeFaultPlan() shrinks the script to a minimal
+ * subset of injections that still produces the *same* failure status,
+ * using the classic ddmin algorithm over script indices. Every
+ * candidate subset is an independent deterministic simulation, so
+ * each ddmin round fans its candidates out on a SweepService with no
+ * journal, no cache and no retries (one candidate, one oracle run);
+ * results are consumed in submission order and the first
+ * still-failing candidate (in that order) is adopted, which makes the
+ * minimization deterministic for any BVL_JOBS value.
  *
  * The result is verified 1-minimal: removing any single remaining
  * injection makes the failure disappear.
@@ -29,7 +30,7 @@ namespace bvl
 
 struct MinimizeOptions
 {
-    /** SweepRunner thread count (0 = BVL_JOBS / hardware threads). */
+    /** SweepService worker count (0 = BVL_JOBS / hardware threads). */
     unsigned jobs = 0;
     /** Safety cap on total oracle simulations (incl. the baseline). */
     unsigned maxOracleRuns = 512;
@@ -37,8 +38,8 @@ struct MinimizeOptions
 
 struct MinimizeOutcome
 {
-    /** The shrunk plan (recipe's options.faults with a minimal script). */
-    ReplayRecipe minimal;
+    /** The shrunk plan (recipe's opts.faults with a minimal script). */
+    SweepJob minimal;
     /** Failure status the minimization preserved. */
     RunStatus target = RunStatus::ok;
     /** Total simulations executed, including the baseline. */
@@ -55,7 +56,7 @@ struct MinimizeOutcome
  * whose failure does not depend on scripted entries minimizes to an
  * empty script.
  */
-MinimizeOutcome minimizeFaultPlan(const ReplayRecipe &failing,
+MinimizeOutcome minimizeFaultPlan(const SweepJob &failing,
                                   const MinimizeOptions &opts = {});
 
 } // namespace bvl

@@ -268,7 +268,7 @@ runWorkload(Design design, const std::string &name, Scale scale,
     // Forensics: only this overload knows the (name, scale) pair a
     // replay recipe needs, so the failure report is written here.
     if (!r.ok() && !opts.check.forensicsPath.empty()) {
-        ReplayRecipe recipe{design, name, scale, opts};
+        SweepJob recipe{design, name, scale, opts};
         if (writeFailureReport(opts.check.forensicsPath, r, recipe))
             inform("failure report written to %s",
                    opts.check.forensicsPath.c_str());

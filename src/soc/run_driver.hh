@@ -206,6 +206,19 @@ struct RunResult
     }
 };
 
+/**
+ * One named simulation: a cell of a sweep grid (SweepService) and the
+ * replay recipe of a failure report (sim/check/forensics.hh). The
+ * field order is part of the brace-initialisation API.
+ */
+struct SweepJob
+{
+    Design design = Design::d1b4VL;
+    std::string workload;
+    Scale scale = Scale::tiny;
+    RunOptions opts{};
+};
+
 /** Run @p workload on @p design and return the measurements. */
 RunResult runWorkload(Design design, Workload &workload,
                       const RunOptions &opts = {});

@@ -71,9 +71,42 @@ SweepService::clearStop()
     g_stop.store(false, std::memory_order_relaxed);
 }
 
-SweepService::SweepService(SweepServiceOptions options)
-    : opts(std::move(options)), runner(opts.jobs)
+SweepServiceOptions
+SweepServiceOptions::fromEnv(const std::string &sweepName)
 {
+    SweepServiceOptions o;
+    const char *j = std::getenv("BVL_SWEEP_JOURNAL");
+    if (j && !std::strcmp(j, "0")) {
+        // Journaling explicitly off.
+    } else if (j && *j && std::strcmp(j, "1") != 0) {
+        o.journalPath = j;
+    } else {
+        const char *dir = std::getenv("BVL_SWEEP_DIR");
+        o.journalPath = std::string(dir && *dir ? dir : ".bvl-sweep") +
+                        "/" + sweepName + ".journal.jsonl";
+    }
+    if (const char *c = std::getenv("BVL_CACHE_DIR"); c && *c)
+        o.cacheDir = c;
+    return o;
+}
+
+unsigned
+SweepService::defaultJobs()
+{
+    // Strict parse: a typo'd BVL_JOBS (or one that overflows long)
+    // must fail loudly rather than silently saturate or fall back.
+    long long v = envInt("BVL_JOBS", 0, 1, 1 << 16);
+    if (v)
+        return static_cast<unsigned>(v);
+    unsigned hw = std::thread::hardware_concurrency();
+    return hw ? hw : 1;
+}
+
+SweepService::SweepService(SweepServiceOptions options)
+    : opts(std::move(options))
+{
+    if (!opts.jobs)
+        opts.jobs = defaultJobs();
     bvl_assert(opts.maxAttempts >= 1,
                "SweepServiceOptions::maxAttempts must be >= 1");
     opts.isolate = envBool01("BVL_SWEEP_ISOLATE", opts.isolate);
@@ -81,9 +114,44 @@ SweepService::SweepService(SweepServiceOptions options)
         journal.open(opts.journalPath);
     if (!opts.cacheDir.empty())
         cache.setDir(opts.cacheDir);
+    // One job runs everything inline in submit(); otherwise the pool
+    // is fixed here, so a sweep's thread count never depends on its
+    // job count.
+    if (opts.jobs > 1) {
+        workers.reserve(opts.jobs);
+        for (unsigned i = 0; i < opts.jobs; ++i)
+            workers.emplace_back([this] { workerLoop(); });
+    }
 }
 
-SweepService::~SweepService() = default;
+SweepService::~SweepService()
+{
+    {
+        std::lock_guard<std::mutex> lock(poolMutex);
+        stopping = true;
+    }
+    poolCv.notify_all();
+    for (auto &w : workers)
+        w.join();
+}
+
+void
+SweepService::workerLoop()
+{
+    for (;;) {
+        std::packaged_task<RunResult()> task;
+        {
+            std::unique_lock<std::mutex> lock(poolMutex);
+            poolCv.wait(lock,
+                        [this] { return stopping || !queue.empty(); });
+            if (queue.empty())
+                return;     // stopping and drained
+            task = std::move(queue.front());
+            queue.pop_front();
+        }
+        task();
+    }
+}
 
 bool
 SweepService::retryable(RunStatus s) const
@@ -345,19 +413,9 @@ SweepService::runJob(SweepJob job)
                 nJournalHits.fetch_add(1, std::memory_order_relaxed);
                 if (!stored.ok()) {
                     nFailed.fetch_add(1, std::memory_order_relaxed);
-                    if (exhausted && retryable(stored.status)) {
-                        QuarantineRecord q;
-                        q.hash = hash;
-                        q.design = designName(job.design);
-                        q.workload = job.workload;
-                        q.status = stored.status;
-                        q.attempts = storedAttempts;
-                        q.forensicsPath =
-                            effectiveJob(job, hash)
-                                .opts.check.forensicsPath;
-                        std::lock_guard<std::mutex> lock(qm);
-                        quarantine.push_back(std::move(q));
-                    }
+                    if (exhausted && retryable(stored.status))
+                        quarantineJob(effectiveJob(job, hash), hash,
+                                      stored.status, storedAttempts);
                 }
                 return stored;
             }
@@ -373,6 +431,7 @@ SweepService::runJob(SweepJob job)
     }
 
     SweepJob eff = effectiveJob(job, hash);
+    const std::vector<double> backoffMs = backoffScheduleMs(opts, hash);
     RunResult r;
     unsigned attempt = priorAttempts;
     auto simStart = std::chrono::steady_clock::now();
@@ -384,11 +443,8 @@ SweepService::runJob(SweepJob job)
             attempt >= opts.maxAttempts || stopRequested())
             break;
         nRetries.fetch_add(1, std::memory_order_relaxed);
-        double delayMs =
-            backoffScheduleMs(opts, hash)[attempt - 1 <
-                                          opts.maxAttempts - 1
-                                              ? attempt - 1
-                                              : opts.maxAttempts - 2];
+        // Here 1 <= attempt < maxAttempts = backoffMs.size() + 1.
+        double delayMs = backoffMs[attempt - 1];
         warn("%s on %s: %s (attempt %u/%u); retrying in %.0f ms",
              eff.workload.c_str(), designName(eff.design),
              runStatusName(r.status), attempt, opts.maxAttempts,
@@ -399,17 +455,8 @@ SweepService::runJob(SweepJob job)
 
     if (!r.ok()) {
         nFailed.fetch_add(1, std::memory_order_relaxed);
-        if (attempt >= opts.maxAttempts && retryable(r.status)) {
-            QuarantineRecord q;
-            q.hash = hash;
-            q.design = designName(job.design);
-            q.workload = job.workload;
-            q.status = r.status;
-            q.attempts = attempt;
-            q.forensicsPath = eff.opts.check.forensicsPath;
-            std::lock_guard<std::mutex> lock(qm);
-            quarantine.push_back(std::move(q));
-        }
+        if (attempt >= opts.maxAttempts && retryable(r.status))
+            quarantineJob(eff, hash, r.status, attempt);
     }
 
     if (cacheable) {
@@ -424,14 +471,37 @@ SweepService::runJob(SweepJob job)
     return r;
 }
 
+void
+SweepService::quarantineJob(const SweepJob &eff, const std::string &hash,
+                            RunStatus status, unsigned attempts)
+{
+    std::lock_guard<std::mutex> lock(qm);
+    quarantine.push_back({hash, designName(eff.design), eff.workload,
+                          status, attempts,
+                          eff.opts.check.forensicsPath});
+}
+
 std::future<RunResult>
 SweepService::submit(SweepJob job)
 {
     nSubmitted.fetch_add(1, std::memory_order_relaxed);
-    return runner.submit(
+    std::packaged_task<RunResult()> task(
         [this, job = std::move(job)]() mutable {
             return runJob(std::move(job));
         });
+    auto fut = task.get_future();
+    if (workers.empty()) {
+        // jobs() == 1: run now, on the submitting thread.
+        task();
+        return fut;
+    }
+    {
+        std::lock_guard<std::mutex> lock(poolMutex);
+        bvl_assert(!stopping, "submit() on a stopped SweepService");
+        queue.push_back(std::move(task));
+    }
+    poolCv.notify_one();
+    return fut;
 }
 
 std::vector<SweepService::QuarantineRecord>

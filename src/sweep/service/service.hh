@@ -3,8 +3,10 @@
  * Crash-safe sweep service: journaled, resumable, cache-backed
  * simulation with supervised workers (DESIGN.md §14).
  *
- * SweepService layers orchestration-level fault tolerance on the
- * SweepRunner thread pool:
+ * SweepService runs the independent simulations of a sweep grid on a
+ * fixed pool of BVL_JOBS worker threads (default: all hardware
+ * threads; BVL_JOBS=1 runs each job inline at submit() and creates no
+ * threads) and layers orchestration-level fault tolerance on top:
  *
  *  - every completed job is appended (fsync'd) to a write-ahead
  *    journal keyed by the canonical job hash, so a sweep killed at
@@ -39,15 +41,17 @@
 #define BVL_SWEEP_SERVICE_SERVICE_HH
 
 #include <atomic>
+#include <condition_variable>
+#include <deque>
 #include <functional>
 #include <future>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sweep/service/journal.hh"
 #include "sweep/service/result_cache.hh"
-#include "sweep/sweep_runner.hh"
 
 namespace bvl
 {
@@ -67,7 +71,7 @@ constexpr int exitResumable = 75;
 
 struct SweepServiceOptions
 {
-    /** Worker threads; 0 = SweepRunner::defaultJobs() (BVL_JOBS). */
+    /** Worker threads; 0 = SweepService::defaultJobs() (BVL_JOBS). */
     unsigned jobs = 0;
     /** Write-ahead journal file; empty disables journaling. */
     std::string journalPath;
@@ -94,6 +98,18 @@ struct SweepServiceOptions
      * signal exercises real worker loss.
      */
     std::function<void(const SweepJob &, unsigned attempt)> preRunHook;
+
+    /**
+     * The environment-driven configuration of a named sweep (every
+     * figure bench and sweep example):
+     *
+     *  - journal: ${BVL_SWEEP_DIR:-.bvl-sweep}/<sweepName>.journal.jsonl.
+     *    BVL_SWEEP_JOURNAL=0 disables journaling; any other non-"1"
+     *    value overrides the journal path verbatim.
+     *  - cache: BVL_CACHE_DIR (unset = no cache).
+     *  - isolation: BVL_SWEEP_ISOLATE=1 (read by SweepService itself).
+     */
+    static SweepServiceOptions fromEnv(const std::string &sweepName);
 };
 
 class SweepService
@@ -112,7 +128,8 @@ class SweepService
      */
     std::future<RunResult> submit(SweepJob job);
 
-    unsigned jobs() const { return runner.jobs(); }
+    /** Number of concurrent jobs (resolved; never 0). */
+    unsigned jobs() const { return opts.jobs; }
     const SweepServiceOptions &options() const { return opts; }
 
     /** A job that exhausted its retries (recorded, sweep continued). */
@@ -172,6 +189,9 @@ class SweepService
     backoffScheduleMs(const SweepServiceOptions &options,
                       const std::string &hashHex);
 
+    /** Resolved BVL_JOBS (>= 1); strict parse, see sim/env.hh. */
+    static unsigned defaultJobs();
+
     // --- graceful-stop machinery (process-wide, signal-safe) ---------
 
     /** Install SIGINT/SIGTERM handlers that requestStop(). */
@@ -188,11 +208,13 @@ class SweepService
     RunResult runAttempt(const SweepJob &job, unsigned attempt);
     RunResult runIsolated(const SweepJob &job, unsigned attempt);
     bool retryable(RunStatus s) const;
+    void quarantineJob(const SweepJob &eff, const std::string &hash,
+                       RunStatus status, unsigned attempts);
+    void workerLoop();
 
     SweepServiceOptions opts;
     SweepJournal journal;
     ResultCache cache;
-    SweepRunner runner;
 
     std::atomic<std::uint64_t> nSubmitted{0};
     std::atomic<std::uint64_t> nSimulated{0};
@@ -203,6 +225,14 @@ class SweepService
 
     mutable std::mutex qm;
     std::vector<QuarantineRecord> quarantine;
+
+    // The worker pool (empty when jobs() == 1). Jobs are packaged
+    // tasks, so a job's exception is banked in its future.
+    std::mutex poolMutex;
+    std::condition_variable poolCv;
+    std::deque<std::packaged_task<RunResult()>> queue;
+    bool stopping = false;
+    std::vector<std::thread> workers;
 };
 
 } // namespace bvl

@@ -2,8 +2,8 @@
  * @file
  * Determinism and re-entrancy regression tests.
  *
- * The library must hold two properties for the parallel sweep runner
- * to be sound (DESIGN.md §10):
+ * The library must hold two properties for the sweep service's worker
+ * pool to be sound (DESIGN.md §10):
  *
  *  1. Run-to-run determinism: building and running the same workload
  *     twice in one process yields bit-identical statistics. This is
@@ -20,7 +20,7 @@
 
 #include <thread>
 
-#include "sweep/sweep_runner.hh"
+#include "sweep/service/service.hh"
 
 namespace bvl
 {
@@ -80,15 +80,31 @@ TEST(DeterminismTest, RunOrderDoesNotChangeResults)
     expectIdenticalRuns(bfsFirst, bfsSecond);
 }
 
-TEST(SweepRunnerTest, ParallelSweepMatchesSerialSweep)
+/** Run @p grid on a SweepService with no journal and no cache. */
+std::vector<RunResult>
+runGrid(const std::vector<SweepJob> &grid, unsigned jobs)
+{
+    SweepServiceOptions opts;
+    opts.jobs = jobs;
+    SweepService service(opts);
+    std::vector<std::future<RunResult>> futures;
+    for (const auto &job : grid)
+        futures.push_back(service.submit(job));
+    std::vector<RunResult> results;
+    for (auto &f : futures)
+        results.push_back(f.get());
+    return results;
+}
+
+TEST(SweepGridTest, ParallelSweepMatchesSerialSweep)
 {
     std::vector<SweepJob> grid;
     for (const char *name : {"vvadd", "saxpy", "bfs", "pagerank"})
         for (Design d : {Design::d1L, Design::d1b4VL})
             grid.push_back({d, name, Scale::tiny, {}});
 
-    auto serial = runSweep(grid, 1);
-    auto parallel = runSweep(grid, 4);
+    auto serial = runGrid(grid, 1);
+    auto parallel = runGrid(grid, 4);
     ASSERT_EQ(serial.size(), grid.size());
     ASSERT_EQ(parallel.size(), grid.size());
     for (std::size_t i = 0; i < grid.size(); ++i) {
@@ -98,36 +114,37 @@ TEST(SweepRunnerTest, ParallelSweepMatchesSerialSweep)
     }
 }
 
-TEST(SweepRunnerTest, ResultsComeBackInSubmissionOrder)
+TEST(SweepGridTest, ResultsComeBackInSubmissionOrder)
 {
     std::vector<SweepJob> grid;
     const char *names[] = {"vvadd", "mmult", "saxpy"};
     for (const char *name : names)
         grid.push_back({Design::d1b, name, Scale::tiny, {}});
-    auto results = runSweep(grid, 4);
+    auto results = runGrid(grid, 4);
     ASSERT_EQ(results.size(), 3u);
     for (unsigned i = 0; i < 3; ++i)
         EXPECT_EQ(results[i].workload, names[i]);
 }
 
-TEST(SweepRunnerTest, JobsComeFromEnvironment)
+TEST(SweepGridTest, JobsComeFromEnvironment)
 {
-    // Explicit argument wins over everything.
-    EXPECT_EQ(SweepRunner(3).jobs(), 3u);
+    // Explicit option wins over everything.
+    SweepServiceOptions three;
+    three.jobs = 3;
+    EXPECT_EQ(SweepService(three).jobs(), 3u);
     // 0 resolves BVL_JOBS (unset here in-process: hw concurrency >= 1).
-    EXPECT_GE(SweepRunner(0).jobs(), 1u);
+    EXPECT_GE(SweepService(SweepServiceOptions{}).jobs(), 1u);
 }
 
-TEST(SweepRunnerTest, CustomThunksAndFailuresAreBanked)
+TEST(SweepGridTest, FailuresAreBankedWithTheirLog)
 {
-    SweepRunner pool(2);
-    auto ok = pool.submit([] {
-        return runWorkload(Design::d1L, "vvadd", Scale::tiny);
-    });
-    auto bad = pool.submit({Design::d1b, "no-such-workload",
-                            Scale::tiny, {}});
-    EXPECT_TRUE(ok.get().ok());
-    auto r = bad.get();
+    auto results =
+        runGrid({{Design::d1L, "vvadd", Scale::tiny, {}},
+                 {Design::d1b, "no-such-workload", Scale::tiny, {}}},
+                2);
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_TRUE(results[0].ok());
+    const RunResult &r = results[1];
     EXPECT_EQ(r.status, RunStatus::sim_error);
     // The diagnostic was captured into the result, not stderr.
     EXPECT_NE(r.message.find("unknown workload"), std::string::npos);
@@ -143,7 +160,7 @@ TEST(ConcurrencyStressTest, ManyThreadsRunWorkloadsIndependently)
     ASSERT_TRUE(refBfs.ok()) << refBfs.message;
 
     // Hammer runWorkload from several raw threads at once (below the
-    // SweepRunner layer, so this exercises the library's re-entrancy
+    // SweepService layer, so this exercises the library's re-entrancy
     // directly) and compare every result against the references.
     constexpr unsigned numThreads = 8;
     constexpr unsigned runsPerThread = 2;

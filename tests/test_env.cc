@@ -14,7 +14,6 @@
 
 #include "sim/env.hh"
 #include "sweep/service/service.hh"
-#include "sweep/sweep_runner.hh"
 
 namespace bvl
 {
@@ -136,26 +135,26 @@ TEST(EnvParseTest, EnvChoiceErrorListsLegalValues)
     EXPECT_NE(msg.find("'c'"), std::string::npos) << msg;
 }
 
-// --- BVL_JOBS (sweep_runner.cc) ----------------------------------------
+// --- BVL_JOBS (service.cc) ---------------------------------------------
 
 TEST(EnvParseTest, JobsVariableIsStrict)
 {
     {
         ScopedEnv e("BVL_JOBS", "3");
-        EXPECT_EQ(SweepRunner::defaultJobs(), 3u);
+        EXPECT_EQ(SweepService::defaultJobs(), 3u);
     }
     {
         ScopedEnv e("BVL_JOBS", nullptr);
-        EXPECT_GE(SweepRunner::defaultJobs(), 1u);
+        EXPECT_GE(SweepService::defaultJobs(), 1u);
     }
     for (const char *bad : {"4x", "0", "-1", "", "many"}) {
         ScopedEnv e("BVL_JOBS", bad);
-        EXPECT_THROW(SweepRunner::defaultJobs(), SimFatalError)
+        EXPECT_THROW(SweepService::defaultJobs(), SimFatalError)
             << "accepted BVL_JOBS='" << bad << "'";
     }
     ScopedEnv e("BVL_JOBS", "4x");
     std::string msg =
-        fatalMessage([] { SweepRunner::defaultJobs(); });
+        fatalMessage([] { SweepService::defaultJobs(); });
     EXPECT_NE(msg.find("BVL_JOBS"), std::string::npos) << msg;
     EXPECT_NE(msg.find("'4x'"), std::string::npos) << msg;
 }
@@ -181,6 +180,39 @@ TEST(EnvParseTest, SweepIsolateVariableIsStrict)
         EXPECT_THROW(SweepService svc(opts), SimFatalError)
             << "accepted BVL_SWEEP_ISOLATE='" << bad << "'";
     }
+}
+
+// --- BVL_SWEEP_JOURNAL / _DIR, BVL_CACHE_DIR (service.cc fromEnv) -------
+
+TEST(EnvParseTest, SweepJournalAndCacheComeFromEnvironment)
+{
+    ScopedEnv journal("BVL_SWEEP_JOURNAL", nullptr);
+    ScopedEnv dir("BVL_SWEEP_DIR", nullptr);
+    ScopedEnv cache("BVL_CACHE_DIR", nullptr);
+    {
+        SweepServiceOptions o = SweepServiceOptions::fromEnv("fig");
+        EXPECT_EQ(o.journalPath, ".bvl-sweep/fig.journal.jsonl");
+        EXPECT_EQ(o.cacheDir, "");
+    }
+    {
+        ScopedEnv e("BVL_SWEEP_JOURNAL", "1");
+        EXPECT_EQ(SweepServiceOptions::fromEnv("fig").journalPath,
+                  ".bvl-sweep/fig.journal.jsonl");
+    }
+    {
+        ScopedEnv e("BVL_SWEEP_JOURNAL", "0");
+        EXPECT_EQ(SweepServiceOptions::fromEnv("fig").journalPath, "");
+    }
+    {
+        ScopedEnv e("BVL_SWEEP_JOURNAL", "/tmp/elsewhere.jsonl");
+        EXPECT_EQ(SweepServiceOptions::fromEnv("fig").journalPath,
+                  "/tmp/elsewhere.jsonl");
+    }
+    ScopedEnv d("BVL_SWEEP_DIR", "/tmp/sweeps");
+    ScopedEnv c("BVL_CACHE_DIR", "/tmp/cache");
+    SweepServiceOptions o = SweepServiceOptions::fromEnv("fig");
+    EXPECT_EQ(o.journalPath, "/tmp/sweeps/fig.journal.jsonl");
+    EXPECT_EQ(o.cacheDir, "/tmp/cache");
 }
 
 // --- BVL_SCALE (bench/bench_util.hh chosenScale) -----------------------
