@@ -38,12 +38,8 @@ using namespace bvl;
 inline Scale
 chosenScale(Scale fallback)
 {
-    switch (envChoice("BVL_SCALE", {"tiny", "small", "medium"}, -1)) {
-      case 0: return Scale::tiny;
-      case 1: return Scale::small;
-      case 2: return Scale::medium;
-      default: return fallback;
-    }
+    int i = envChoice("BVL_SCALE", scaleNames, -1);
+    return i < 0 ? fallback : static_cast<Scale>(i);
 }
 
 /** Names of the registered workloads in @p suites, in table order. */

@@ -11,7 +11,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <future>
 
 #include "sweep/service/service.hh"
@@ -25,9 +24,13 @@ main(int argc, char **argv)
     std::string name = argc > 1 ? argv[1] : "saxpy";
     Scale scale = Scale::small;
     if (argc > 2) {
-        scale = !std::strcmp(argv[2], "tiny") ? Scale::tiny :
-                !std::strcmp(argv[2], "medium") ? Scale::medium
-                                                : Scale::small;
+        auto s = scaleNames.parse(argv[2]);
+        if (!s) {
+            std::fprintf(stderr, "usage: %s [workload] [%s]\n", argv[0],
+                         scaleNames.choices().c_str());
+            return 1;
+        }
+        scale = *s;
     }
 
     const Design others[] = {Design::d1b, Design::d1bIV, Design::d1b4L,

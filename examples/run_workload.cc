@@ -19,8 +19,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <optional>
 
 #include "soc/run_driver.hh"
 
@@ -29,24 +27,12 @@ using namespace bvl;
 namespace
 {
 
-std::optional<Design>
-parseDesign(const std::string &s)
-{
-    for (Design d : {Design::d1L, Design::d1b, Design::d1bIV,
-                     Design::d1b4L, Design::d1bIV4L, Design::d1bDV,
-                     Design::d1b4VL}) {
-        if (s == designName(d))
-            return d;
-    }
-    return std::nullopt;
-}
-
 void
 usage(const char *argv0)
 {
     std::fprintf(stderr,
                  "usage: %s [--workload NAME] [--design D] "
-                 "[--scale tiny|small|medium]\n"
+                 "[--scale %s]\n"
                  "          [--big-ghz F] [--little-ghz F] "
                  "[--limit-ns NS] [--stats]\n"
                  "          [--no-verify] [--list]\n"
@@ -58,10 +44,11 @@ usage(const char *argv0)
                  "[--restore-strict] [--ff N]\n"
                  "          [--ckpt-farm] [--ckpt-dir DIR]\n"
                  "          [--sample FF:WARM:DETAIL:PERIODS]\n"
-                 "designs: 1L 1b 1bIV 1b-4L 1bIV-4L 1bDV 1b-4VL\n"
+                 "designs: %s\n"
                  "trace cats: big,core,vcu,lane,vxu,vmu,cache,dram "
                  "(default all)\n",
-                 argv0);
+                 argv0, scaleNames.choices().c_str(),
+                 designNames.choices().c_str());
 }
 
 } // namespace
@@ -92,16 +79,19 @@ main(int argc, char **argv)
         } else if (arg == "--workload") {
             workload = next();
         } else if (arg == "--design") {
-            auto d = parseDesign(next());
+            auto d = designNames.parse(next());
             if (!d) {
                 usage(argv[0]);
                 return 1;
             }
             design = *d;
         } else if (arg == "--scale") {
-            std::string s = next();
-            scale = s == "tiny" ? Scale::tiny :
-                    s == "medium" ? Scale::medium : Scale::small;
+            auto s = scaleNames.parse(next());
+            if (!s) {
+                usage(argv[0]);
+                return 1;
+            }
+            scale = *s;
         } else if (arg == "--big-ghz") {
             opts.bigGhz = std::atof(next());
         } else if (arg == "--little-ghz") {

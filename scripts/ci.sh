@@ -194,7 +194,18 @@ leg_forensics() {
     fi
     grep -q '^one-minimal: yes' build/forensics_smoke.log \
         || { echo "FAIL: minimized plan is not 1-minimal"; exit 1; }
-    echo "forensics report written and plan minimized to $minimal injection(s)"
+    # Read the written report back (the loadReplayJob path): the plan
+    # it records must minimize to the same injections.
+    ./build/examples/example_minimize_fault_plan "$report" \
+        | tee build/forensics_reload.log
+    grep -q "^loading replay recipe from $report" build/forensics_reload.log \
+        || { echo "FAIL: second run did not load the report"; exit 1; }
+    kept() { grep -E '^(minimal injections: |  \[)' "$1"; }
+    if [ "$(kept build/forensics_smoke.log)" != "$(kept build/forensics_reload.log)" ]; then
+        echo "FAIL: the reloaded report minimized to a different plan"
+        exit 1
+    fi
+    echo "forensics report written, reloaded, and plan minimized to $minimal injection(s)"
 }
 
 leg_asan() {

@@ -36,6 +36,7 @@
 #include "cpu/vec_engine.hh"
 #include "mem/mem_system.hh"
 #include "sim/clock_domain.hh"
+#include "sim/name_table.hh"
 #include "sim/stats.hh"
 
 namespace bvl
@@ -85,6 +86,9 @@ struct VEngineParams
         return numLanes * chimes * (packed ? 64 : 32);
     }
 };
+
+inline constexpr NameTable<VEngineParams::MemPath, 3> memPathNames{
+    "bankedL1", "bigL1D", "directL2"};
 
 class VlittleEngine : public Clocked, public VectorEngine, public LaneEnv
 {

@@ -12,6 +12,10 @@
  * deterministic run; every RunOptions field round-trips, including
  * the engine-parameter override of the Figure 7/8 sweeps (see
  * soc/run_io.hh, which owns the serialization).
+ *
+ * scaleName() lives here rather than next to Scale: perf/ declares its
+ * own scaleName(Scale), so the headers it includes must not declare
+ * bvl::scaleName, or argument-dependent lookup makes calls ambiguous.
  */
 
 #ifndef BVL_SIM_CHECK_FORENSICS_HH
@@ -26,18 +30,11 @@
 namespace bvl
 {
 
-const char *scaleName(Scale s);
-
-/**
- * JSON <-> replay recipe: the SweepJob that deterministically re-runs
- * one failing run. fromJson throws SimFatalError on malformed input.
- */
-Json replayRecipeToJson(const SweepJob &recipe);
-SweepJob replayRecipeFromJson(const Json &j);
-
-/** JSON <-> fault plan (shared with the recipe serialization). */
-Json faultSpecToJson(const FaultSpec &spec);
-FaultSpec faultSpecFromJson(const Json &j);
+inline const char *
+scaleName(Scale s)
+{
+    return scaleNames.name(s);
+}
 
 /** Build the full "bvl-failure-report-v1" document for @p r. */
 Json buildFailureReport(const RunResult &r, const SweepJob &recipe);

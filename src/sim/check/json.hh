@@ -76,6 +76,9 @@ class Json
     Kind kind() const { return _kind; }
     bool isNull() const { return _kind == Kind::null; }
 
+    /** True for a number written or parsed as an integer literal. */
+    bool isInteger() const { return integral; }
+
     bool asBool() const { return b; }
     double asDouble() const { return d; }
     /** Exact unsigned value when the token was an integer literal. */

@@ -63,12 +63,12 @@ envBool01(const char *name, bool fallback)
 
 /**
  * Enumerated env choice: returns the index of the variable's value in
- * @p choices, @p fallback when unset, and fatal()s (listing the legal
- * values) on anything else.
+ * @p choices (a list of names or an enum's NameTable), @p fallback when
+ * unset, and fatal()s (listing the legal values) on anything else.
  */
+template <class Choices = std::initializer_list<const char *>>
 inline int
-envChoice(const char *name, std::initializer_list<const char *> choices,
-          int fallback)
+envChoice(const char *name, const Choices &choices, int fallback)
 {
     const char *env = std::getenv(name);
     if (!env)

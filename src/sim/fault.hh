@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/name_table.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -50,7 +51,14 @@ enum class FaultKind
 
 constexpr unsigned numFaultKinds = 4;
 
-const char *faultKindName(FaultKind kind);
+inline constexpr NameTable<FaultKind, numFaultKinds> faultKindNames{
+    "memDelay", "cacheDelay", "vcuStall", "vmuDrop"};
+
+inline const char *
+faultKindName(FaultKind kind)
+{
+    return faultKindNames.name(kind);
+}
 
 /** One fault injected at a fixed simulated time. */
 struct ScriptedFault

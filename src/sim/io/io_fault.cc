@@ -4,12 +4,14 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <mutex>
 
+#include "sim/env.hh"
 #include "sim/rng.hh"
 
 namespace bvl
@@ -19,19 +21,6 @@ namespace io
 
 namespace
 {
-
-const char *
-kindForSpec(const std::string &name, IoFaultKind *out)
-{
-    for (unsigned i = 0; i < numIoFaultKinds; ++i) {
-        auto k = static_cast<IoFaultKind>(i);
-        if (name == ioFaultKindName(k)) {
-            *out = k;
-            return nullptr;
-        }
-    }
-    return "unknown fault kind";
-}
 
 /** Kinds that model a real failure of @p op (crash fits anywhere). */
 bool
@@ -100,32 +89,7 @@ struct Injector
         if (envSettled)
             return;
         envSettled = true;
-        IoFaultPlan p;
-        if (const char *spec = std::getenv("BVL_IO_FAULT")) {
-            if (*spec)
-                p = ioFaultPlanFromSpec(spec);
-        }
-        if (const char *prob = std::getenv("BVL_IO_FAULT_PROB")) {
-            char *end = nullptr;
-            p.prob = std::strtod(prob, &end);
-            if (end == prob || *end != '\0' || p.prob < 0.0 ||
-                p.prob > 1.0)
-                fatal("BVL_IO_FAULT_PROB must be a probability in "
-                      "[0, 1], got '%s'", prob);
-            p.enabled = p.enabled || p.prob > 0.0;
-        }
-        if (const char *seed = std::getenv("BVL_IO_FAULT_SEED"))
-            p.seed = std::strtoull(seed, nullptr, 10);
-        // Script harnesses drive whole processes: a crash should end
-        // the process the way real death does, not unwind main().
-        p.crashExits = true;
-        if (const char *mode = std::getenv("BVL_IO_FAULT_CRASH")) {
-            if (!std::strcmp(mode, "throw"))
-                p.crashExits = false;
-            else if (std::strcmp(mode, "exit"))
-                fatal("BVL_IO_FAULT_CRASH must be exit or throw, "
-                      "got '%s'", mode);
-        }
+        IoFaultPlan p = ioFaultPlanFromEnv();
         if (p.enabled)
             installLocked(std::move(p));
     }
@@ -190,20 +154,6 @@ ioOpName(IoOp op)
     return "?";
 }
 
-const char *
-ioFaultKindName(IoFaultKind k)
-{
-    switch (k) {
-      case IoFaultKind::fail_enospc: return "enospc";
-      case IoFaultKind::fail_eio: return "eio";
-      case IoFaultKind::short_write: return "short";
-      case IoFaultKind::torn_rename: return "torn";
-      case IoFaultKind::stale_lock: return "stale_lock";
-      case IoFaultKind::crash: return "crash";
-    }
-    return "?";
-}
-
 IoFaultPlan
 ioFaultPlanFromSpec(const std::string &spec)
 {
@@ -222,13 +172,20 @@ ioFaultPlanFromSpec(const std::string &spec)
             fatal("BVL_IO_FAULT entry '%s' is not <kind>@<site>",
                   item.c_str());
         IoFault f;
-        if (kindForSpec(item.substr(0, at), &f.kind))
-            fatal("BVL_IO_FAULT entry '%s': unknown kind '%s' (want "
-                  "enospc|eio|short|torn|stale_lock|crash)",
-                  item.c_str(), item.substr(0, at).c_str());
+        std::string kind = item.substr(0, at);
+        if (auto k = ioFaultKindNames.parse(kind))
+            f.kind = *k;
+        else
+            fatal("BVL_IO_FAULT entry '%s': unknown kind '%s' (want %s)",
+                  item.c_str(), kind.c_str(),
+                  ioFaultKindNames.choices().c_str());
         std::string site = item.substr(at + 1);
         if (site.find_first_not_of("0123456789") == std::string::npos) {
-            f.site = std::stoll(site);
+            errno = 0;
+            f.site = std::strtoll(site.c_str(), nullptr, 10);
+            if (errno == ERANGE)
+                fatal("BVL_IO_FAULT entry '%s': site index out of range",
+                      item.c_str());
         } else {
             f.site = -1;
             f.label = site;
@@ -237,6 +194,31 @@ ioFaultPlanFromSpec(const std::string &spec)
     }
     plan.enabled = !plan.script.empty();
     return plan;
+}
+
+IoFaultPlan
+ioFaultPlanFromEnv()
+{
+    IoFaultPlan p;
+    if (const char *spec = std::getenv("BVL_IO_FAULT")) {
+        if (*spec)
+            p = ioFaultPlanFromSpec(spec);
+    }
+    if (const char *prob = std::getenv("BVL_IO_FAULT_PROB")) {
+        char *end = nullptr;
+        p.prob = std::strtod(prob, &end);
+        if (end == prob || *end != '\0' || p.prob < 0.0 ||
+            p.prob > 1.0)
+            fatal("BVL_IO_FAULT_PROB must be a probability in "
+                  "[0, 1], got '%s'", prob);
+        p.enabled = p.enabled || p.prob > 0.0;
+    }
+    p.seed = envInt("BVL_IO_FAULT_SEED", 1, 0, LLONG_MAX);
+    // Script harnesses drive whole processes: a crash should end
+    // the process the way real death does, not unwind main().
+    p.crashExits =
+        envChoice("BVL_IO_FAULT_CRASH", {"exit", "throw"}, 0) == 0;
+    return p;
 }
 
 void

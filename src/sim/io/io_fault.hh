@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "sim/logging.hh"
+#include "sim/name_table.hh"
 
 namespace bvl
 {
@@ -97,7 +98,14 @@ enum class IoFaultKind
 
 constexpr unsigned numIoFaultKinds = 6;
 
-const char *ioFaultKindName(IoFaultKind k);
+inline constexpr NameTable<IoFaultKind, numIoFaultKinds> ioFaultKindNames{
+    "enospc", "eio", "short", "torn", "stale_lock", "crash"};
+
+inline const char *
+ioFaultKindName(IoFaultKind k)
+{
+    return ioFaultKindNames.name(k);
+}
 
 /**
  * One scripted fault. Matches by global site index (site >= 0) or by
@@ -132,6 +140,13 @@ struct IoFaultPlan
  * SimFatalError with a one-line diagnosis on malformed input.
  */
 IoFaultPlan ioFaultPlanFromSpec(const std::string &spec);
+
+/**
+ * The plan the BVL_IO_FAULT* variables describe (disabled when none is
+ * set); loaded once at the first seam call. Throws SimFatalError on a
+ * malformed value.
+ */
+IoFaultPlan ioFaultPlanFromEnv();
 
 /** Install @p plan process-wide (replacing any previous plan). */
 void ioFaultInstall(IoFaultPlan plan);

@@ -151,15 +151,23 @@ enum class RunStatus
 };
 
 /**
- * Number of RunStatus values. Keep in sync when adding a status: the
- * exhaustive round-trip test iterates [0, numRunStatuses) and also
- * asserts that the value *past* the end is unnamed, so forgetting to
- * bump this (or to extend runStatusName) fails loudly.
+ * Number of RunStatus values: derive it from the last enumerator when
+ * adding a status. The name table below must have exactly this many
+ * names to compile.
  */
 constexpr unsigned numRunStatuses =
     static_cast<unsigned>(RunStatus::worker_lost) + 1;
 
-const char *runStatusName(RunStatus s);
+inline constexpr NameTable<RunStatus, numRunStatuses> runStatusNames{
+    "ok",        "time_limit",   "deadlock", "verify_failed",
+    "sim_error", "check_failed", "deadline", "worker_lost"};
+
+inline const char *
+runStatusName(RunStatus s)
+{
+    return runStatusNames.name(s);
+}
+
 /** Inverse of runStatusName(); throws SimFatalError on unknown names. */
 RunStatus runStatusFromName(const std::string &name);
 

@@ -1,6 +1,8 @@
 #include "soc/run_io.hh"
 
-#include "sim/check/forensics.hh"
+#include <concepts>
+#include <limits>
+
 #include "sim/logging.hh"
 
 namespace bvl
@@ -9,416 +11,489 @@ namespace bvl
 namespace
 {
 
-Json
-checkOptionsToJson(const CheckOptions &c)
+/** How a field-list member is written and read. */
+enum Presence
 {
-    Json j = Json::object();
-    j.set("lockstep", c.lockstep);
-    j.set("invariants", c.invariants);
-    j.set("retireContext", c.retireContext);
-    j.set("invariantPeriod", c.invariantPeriod);
-    j.set("forensicsPath", c.forensicsPath);
-    return j;
+    always,     ///< always written; absent (or null) reads as default
+    omitEmpty,  ///< written only when non-empty
+    required,   ///< always written; absent fails the read
+};
+
+// --- the field lists: each persisted member, in document order ---------
+//
+// A std::optional member is written only when it holds a value.
+
+template <class V>
+void
+fields(V &v, CheckOptions &c)
+{
+    v("lockstep", c.lockstep);
+    v("invariants", c.invariants);
+    v("retireContext", c.retireContext);
+    v("invariantPeriod", c.invariantPeriod);
+    v("forensicsPath", c.forensicsPath);
 }
 
-CheckOptions
-checkOptionsFromJson(const Json &j)
+template <class V>
+void
+fields(V &v, TraceOptions &t)
 {
-    CheckOptions c;
-    if (j.isNull())
-        return c;
-    if (j.has("lockstep"))
-        c.lockstep = j["lockstep"].asBool();
-    if (j.has("invariants"))
-        c.invariants = j["invariants"].asBool();
-    if (j.has("retireContext"))
-        c.retireContext =
-            static_cast<unsigned>(j["retireContext"].asU64());
-    if (j.has("invariantPeriod"))
-        c.invariantPeriod =
-            static_cast<unsigned>(j["invariantPeriod"].asU64());
-    if (j.has("forensicsPath"))
-        c.forensicsPath = j["forensicsPath"].asString();
-    return c;
+    v("path", t.path);
+    v("samplePath", t.samplePath);
+    v("startNs", t.startNs);
+    v("stopNs", t.stopNs);
+    v("categories", t.categories);
+    v("sampleIntervalNs", t.sampleIntervalNs);
 }
 
-Json
-traceOptionsToJson(const TraceOptions &t)
+template <class V>
+void
+fields(V &v, SamplingOptions &s)
 {
-    Json j = Json::object();
-    j.set("path", t.path);
-    j.set("samplePath", t.samplePath);
-    j.set("startNs", t.startNs);
-    j.set("stopNs", t.stopNs);
-    j.set("categories", static_cast<std::uint64_t>(t.categories));
-    j.set("sampleIntervalNs", t.sampleIntervalNs);
-    return j;
+    v("ffInsts", s.ffInsts);
+    v("warmupInsts", s.warmupInsts);
+    v("detailInsts", s.detailInsts);
+    v("periods", s.periods);
 }
 
-TraceOptions
-traceOptionsFromJson(const Json &j)
+template <class V>
+void
+fields(V &v, CheckpointOptions &c)
 {
-    TraceOptions t;
-    if (j.isNull())
-        return t;
-    if (j.has("path"))
-        t.path = j["path"].asString();
-    if (j.has("samplePath"))
-        t.samplePath = j["samplePath"].asString();
-    if (j.has("startNs"))
-        t.startNs = j["startNs"].asDouble();
-    if (j.has("stopNs"))
-        t.stopNs = j["stopNs"].asDouble();
-    if (j.has("categories"))
-        t.categories = static_cast<unsigned>(j["categories"].asU64());
-    if (j.has("sampleIntervalNs"))
-        t.sampleIntervalNs = j["sampleIntervalNs"].asDouble();
-    return t;
+    v("savePath", c.savePath);
+    v("restorePath", c.restorePath);
+    v("ffInsts", c.ffInsts);
+    v("farm", c.farm);
+    v("farmDir", c.farmDir);
+    v("strict", c.strict);
 }
 
-Json
-samplingOptionsToJson(const SamplingOptions &s)
+template <class V>
+void
+fields(V &v, FuLatencies &f)
 {
-    Json j = Json::object();
-    j.set("ffInsts", s.ffInsts);
-    j.set("warmupInsts", s.warmupInsts);
-    j.set("detailInsts", s.detailInsts);
-    j.set("periods", static_cast<std::uint64_t>(s.periods));
-    return j;
+    v("intAlu", f.intAlu);
+    v("intMul", f.intMul);
+    v("intDiv", f.intDiv);
+    v("fpAdd", f.fpAdd);
+    v("fpMul", f.fpMul);
+    v("fpDiv", f.fpDiv);
+    v("mem", f.mem);
+    v("branch", f.branch);
 }
 
-SamplingOptions
-samplingOptionsFromJson(const Json &j)
+template <class V>
+void
+fields(V &v, VEngineParams &p)
 {
-    SamplingOptions s;
-    if (j.isNull())
-        return s;
-    if (j.has("ffInsts"))
-        s.ffInsts = j["ffInsts"].asU64();
-    if (j.has("warmupInsts"))
-        s.warmupInsts = j["warmupInsts"].asU64();
-    if (j.has("detailInsts"))
-        s.detailInsts = j["detailInsts"].asU64();
-    if (j.has("periods"))
-        s.periods = static_cast<unsigned>(j["periods"].asU64());
-    return s;
+    v("name", p.name);
+    v("lanePrefix", p.lanePrefix);
+    v("numLanes", p.numLanes);
+    v("chimes", p.chimes);
+    v("packed", p.packed);
+    v("cmdQueueDepth", p.cmdQueueDepth);
+    v("uopQueueDepth", p.uopQueueDepth);
+    v("dataQueueDepth", p.dataQueueDepth);
+    v("laneUopQueueDepth", p.laneUopQueueDepth);
+    v("vmiuQueueDepth", p.vmiuQueueDepth);
+    v("loadQueueLines", p.loadQueueLines);
+    v("storeQueueLines", p.storeQueueLines);
+    v("storeCamEntries", p.storeCamEntries);
+    v("coalesceWindow", p.coalesceWindow);
+    v("switchPenalty", p.switchPenalty);
+    v("fu", p.fu);
+    v("memPath", p.memPath, memPathNames);
+    v("controlsL1Mode", p.controlsL1Mode);
+    v("headDispatch", p.headDispatch);
 }
 
-Json
-checkpointOptionsToJson(const CheckpointOptions &c)
+template <class V>
+void
+fields(V &v, ScriptedFault &f)
 {
-    Json j = Json::object();
-    j.set("savePath", c.savePath);
-    j.set("restorePath", c.restorePath);
-    j.set("ffInsts", c.ffInsts);
-    j.set("farm", c.farm);
-    j.set("farmDir", c.farmDir);
-    j.set("strict", c.strict);
-    return j;
+    v("atTick", f.atTick);
+    v("kind", f.kind, faultKindNames, required);
+    v("cycles", f.cycles);
 }
 
-CheckpointOptions
-checkpointOptionsFromJson(const Json &j)
+template <class V>
+void
+fields(V &v, FaultSpec &s)
 {
-    CheckpointOptions c;
-    if (j.isNull())
-        return c;
-    if (j.has("savePath"))
-        c.savePath = j["savePath"].asString();
-    if (j.has("restorePath"))
-        c.restorePath = j["restorePath"].asString();
-    if (j.has("ffInsts"))
-        c.ffInsts = j["ffInsts"].asU64();
-    if (j.has("farm"))
-        c.farm = j["farm"].asBool();
-    if (j.has("farmDir"))
-        c.farmDir = j["farmDir"].asString();
-    if (j.has("strict"))
-        c.strict = j["strict"].asBool();
-    return c;
+    v("enabled", s.enabled);
+    v("seed", s.seed);
+    v("memDelayProb", s.memDelayProb);
+    v("memDelayCycles", s.memDelayCycles);
+    v("cacheDelayProb", s.cacheDelayProb);
+    v("cacheDelayCycles", s.cacheDelayCycles);
+    v("vcuStallProb", s.vcuStallProb);
+    v("vcuStallCycles", s.vcuStallCycles);
+    v("vmuDropProb", s.vmuDropProb);
+    v("vmuMaxRetries", s.vmuMaxRetries);
+    v("vmuRetryDelay", s.vmuRetryDelay);
+    v("script", s.script);
+}
+
+template <class V>
+void
+fields(V &v, RunOptions &o)
+{
+    v("bigGhz", o.bigGhz);
+    v("littleGhz", o.littleGhz);
+    v("limitNs", o.limitNs);
+    v("verifyResult", o.verifyResult);
+    v("watchdog", o.watchdog);
+    v("watchdogIntervalNs", o.watchdogIntervalNs);
+    v("wallDeadlineSec", o.wallDeadlineSec);
+    v("engineOverride", o.engineOverride);
+    v("faults", o.faults);
+    v("check", o.check);
+    v("trace", o.trace);
+    v("sampling", o.sampling);
+    v("checkpoint", o.checkpoint);
+}
+
+template <class V>
+void
+fields(V &v, Watchdog::Heartbeat &h)
+{
+    v("name", h.name);
+    v("progress", h.progress);
+    v("lastAdvance", h.lastAdvance);
+    v("detail", h.detail);
+}
+
+template <class V>
+void
+fields(V &v, DivergenceRecord &d)
+{
+    v("stream", d.stream);
+    v("seq", d.seq);
+    v("tick", d.tick);
+    v("instr", d.instr);
+    v("field", d.field);
+    v("timedValue", d.timedValue);
+    v("refValue", d.refValue);
+    v("chime", d.chime);
+    v("queueContext", d.queueContext);
+    v("lastRetires", d.lastRetires);
+}
+
+template <class V>
+void
+fields(V &v, RunResult &r)
+{
+    v("workload", r.workload);
+    v("design", r.design);
+    v("status", r.status, runStatusNames, required);
+    v("message", r.message);
+    v("log", r.log);
+    v("finished", r.finished);
+    v("verified", r.verified);
+    v("ns", r.ns);
+    v("ifetchReqs", r.ifetchReqs);
+    v("dataReqs", r.dataReqs);
+    v("bigFetched", r.bigFetched);
+    v("stats", r.stats);
+    v("heartbeats", r.heartbeats, omitEmpty);
+    v("divergence", r.divergence);
+    v("invariantViolations", r.invariantViolations, omitEmpty);
+}
+
+template <class V>
+void
+fields(V &v, SweepJob &j)
+{
+    v("design", j.design, designNames, required);
+    v("workload", j.workload, required);
+    v("scale", j.scale, scaleNames, required);
+    v("options", j.opts);
+}
+
+// --- the two visitors ----------------------------------------------------
+
+/** Builds a JSON object from a field list. */
+struct Writer
+{
+    Json out = Json::object();
+
+    template <class T>
+    void
+    operator()(const char *key, const T &field, Presence p = always)
+    {
+        if constexpr (requires { field.empty(); }) {
+            if (p == omitEmpty && field.empty())
+                return;
+        }
+        out.set(key, toJson(field));
+    }
+
+    template <class T>
+    void
+    operator()(const char *key, const std::optional<T> &field)
+    {
+        if (field)
+            out.set(key, toJson(*field));
+    }
+
+    template <class E, std::size_t N>
+    void
+    operator()(const char *key, E field, const NameTable<E, N> &names,
+               Presence = always)
+    {
+        out.set(key, names.name(field));
+    }
+
+    /** Numbers keep their C++ kind (unsigned, signed or double). */
+    template <class T>
+    static Json
+    toJson(const T &value)
+    {
+        if constexpr (std::is_arithmetic_v<T> ||
+                      std::is_same_v<T, std::string>) {
+            return Json(value);
+        } else {
+            // The writer only reads the fields it is handed.
+            Writer w;
+            fields(w, const_cast<T &>(value));
+            return std::move(w.out);
+        }
+    }
+
+    template <class T>
+    static Json
+    toJson(const std::vector<T> &items)
+    {
+        Json arr = Json::array();
+        for (const T &item : items)
+            arr.push(toJson(item));
+        return arr;
+    }
+
+    static Json
+    toJson(const std::map<std::string, std::uint64_t> &m)
+    {
+        Json obj = Json::object();
+        for (const auto &kv : m)
+            obj.set(kv.first, kv.second);
+        return obj;
+    }
+};
+
+/**
+ * Fills a struct from a JSON object through its field list. Absent
+ * and null members keep their defaults; a member of the wrong kind, a
+ * number outside its field's range and an unknown enum name throw
+ * SimFatalError naming the member's path.
+ */
+class Reader
+{
+  public:
+    Reader(const Json &obj, std::string prefix)
+        : obj(obj), prefix(std::move(prefix))
+    {}
+
+    template <class T>
+    void
+    operator()(const char *key, T &field, Presence p = always)
+    {
+        if (const Json *m = member(key, p))
+            read(*m, field, key);
+    }
+
+    template <class E, std::size_t N>
+    void
+    operator()(const char *key, E &field, const NameTable<E, N> &names,
+               Presence p = always)
+    {
+        const Json *m = member(key, p);
+        if (!m)
+            return;
+        expect(*m, Json::Kind::string, key, "a string");
+        std::optional<E> e = names.parse(m->asString());
+        if (!e)
+            fail(key, "must be one of " + names.choices() + ", got " +
+                          m->dump(0));
+        field = *e;
+    }
+
+  private:
+    const Json &obj;
+    std::string prefix;   ///< "outer.inner." path of obj
+
+    const Json *
+    member(const char *key, Presence p) const
+    {
+        const Json &m = obj[key];
+        if (!m.isNull())
+            return &m;
+        if (p == required)
+            fail(key, "is missing");
+        return nullptr;
+    }
+
+    [[noreturn]] void
+    fail(std::string_view key, const std::string &what) const
+    {
+        fatal("run document: member '%s%.*s' %s", prefix.c_str(),
+              static_cast<int>(key.size()), key.data(), what.c_str());
+    }
+
+    void
+    expect(const Json &m, Json::Kind kind, std::string_view key,
+           const char *kindName) const
+    {
+        if (m.kind() != kind)
+            fail(key, std::string("must be ") + kindName + ", got " +
+                          m.dump(0));
+    }
+
+    void
+    read(const Json &m, bool &field, std::string_view key) const
+    {
+        expect(m, Json::Kind::boolean, key, "a boolean");
+        field = m.asBool();
+    }
+
+    void
+    read(const Json &m, double &field, std::string_view key) const
+    {
+        expect(m, Json::Kind::number, key, "a number");
+        field = m.asDouble();
+    }
+
+    void
+    read(const Json &m, std::string &field, std::string_view key) const
+    {
+        expect(m, Json::Kind::string, key, "a string");
+        field = m.asString();
+    }
+
+    template <std::integral T>
+    void
+    read(const Json &m, T &field, std::string_view key) const
+    {
+        using Limits = std::numeric_limits<T>;
+        bool ok = m.kind() == Json::Kind::number && m.isInteger();
+        bool negative = ok && m.asDouble() < 0;
+        if (negative)
+            ok = m.asI64() >= static_cast<std::int64_t>(Limits::min());
+        else if (ok)
+            ok = m.asU64() <= static_cast<std::uint64_t>(Limits::max());
+        if (!ok)
+            fail(key, "must be an integer in [" +
+                          std::to_string(Limits::min()) + ", " +
+                          std::to_string(Limits::max()) + "], got " +
+                          m.dump(0));
+        field = negative ? static_cast<T>(m.asI64())
+                         : static_cast<T>(m.asU64());
+    }
+
+    /** A nested struct with its own field list. */
+    template <class T>
+    void
+    read(const Json &m, T &field, std::string_view key) const
+    {
+        expect(m, Json::Kind::object, key, "an object");
+        Reader nested(m, prefix + std::string(key) + ".");
+        fields(nested, field);
+    }
+
+    template <class T>
+    void
+    read(const Json &m, std::optional<T> &field, std::string_view key) const
+    {
+        T value;
+        read(m, value, key);
+        field = std::move(value);
+    }
+
+    template <class T>
+    void
+    read(const Json &m, std::vector<T> &field, std::string_view key) const
+    {
+        expect(m, Json::Kind::array, key, "an array");
+        field.clear();
+        for (std::size_t i = 0; i < m.size(); ++i) {
+            T item;
+            read(m.at(i), item,
+                 std::string(key) + "[" + std::to_string(i) + "]");
+            field.push_back(std::move(item));
+        }
+    }
+
+    void
+    read(const Json &m, std::map<std::string, std::uint64_t> &field,
+         std::string_view key) const
+    {
+        expect(m, Json::Kind::object, key, "an object");
+        Reader nested(m, prefix + std::string(key) + ".");
+        for (const auto &kv : m.members())
+            nested.read(kv.second, field[kv.first], kv.first);
+    }
+};
+
+template <class T>
+T
+fromJson(const Json &doc)
+{
+    if (doc.kind() != Json::Kind::object)
+        fatal("run document: expected an object, got %s",
+              doc.dump(0).c_str());
+    T out;
+    Reader top(doc, "");
+    fields(top, out);
+    return out;
 }
 
 } // namespace
 
 Json
-vengineParamsToJson(const VEngineParams &p)
-{
-    Json j = Json::object();
-    j.set("name", p.name);
-    j.set("lanePrefix", p.lanePrefix);
-    j.set("numLanes", p.numLanes);
-    j.set("chimes", p.chimes);
-    j.set("packed", p.packed);
-    j.set("cmdQueueDepth", p.cmdQueueDepth);
-    j.set("uopQueueDepth", p.uopQueueDepth);
-    j.set("dataQueueDepth", p.dataQueueDepth);
-    j.set("laneUopQueueDepth", p.laneUopQueueDepth);
-    j.set("vmiuQueueDepth", p.vmiuQueueDepth);
-    j.set("loadQueueLines", p.loadQueueLines);
-    j.set("storeQueueLines", p.storeQueueLines);
-    j.set("storeCamEntries", p.storeCamEntries);
-    j.set("coalesceWindow", p.coalesceWindow);
-    j.set("switchPenalty", p.switchPenalty);
-    Json fu = Json::object();
-    fu.set("intAlu", p.fu.intAlu);
-    fu.set("intMul", p.fu.intMul);
-    fu.set("intDiv", p.fu.intDiv);
-    fu.set("fpAdd", p.fu.fpAdd);
-    fu.set("fpMul", p.fu.fpMul);
-    fu.set("fpDiv", p.fu.fpDiv);
-    fu.set("mem", p.fu.mem);
-    fu.set("branch", p.fu.branch);
-    j.set("fu", std::move(fu));
-    switch (p.memPath) {
-      case VEngineParams::MemPath::bankedL1:
-        j.set("memPath", "bankedL1");
-        break;
-      case VEngineParams::MemPath::bigL1D:
-        j.set("memPath", "bigL1D");
-        break;
-      case VEngineParams::MemPath::directL2:
-        j.set("memPath", "directL2");
-        break;
-    }
-    j.set("controlsL1Mode", p.controlsL1Mode);
-    j.set("headDispatch", p.headDispatch);
-    return j;
-}
-
-VEngineParams
-vengineParamsFromJson(const Json &j)
-{
-    VEngineParams p;
-    auto u = [&](const char *key, auto &field) {
-        if (j.has(key))
-            field = static_cast<std::decay_t<decltype(field)>>(
-                j[key].asU64());
-    };
-    if (j.has("name"))
-        p.name = j["name"].asString();
-    if (j.has("lanePrefix"))
-        p.lanePrefix = j["lanePrefix"].asString();
-    u("numLanes", p.numLanes);
-    u("chimes", p.chimes);
-    if (j.has("packed"))
-        p.packed = j["packed"].asBool();
-    u("cmdQueueDepth", p.cmdQueueDepth);
-    u("uopQueueDepth", p.uopQueueDepth);
-    u("dataQueueDepth", p.dataQueueDepth);
-    u("laneUopQueueDepth", p.laneUopQueueDepth);
-    u("vmiuQueueDepth", p.vmiuQueueDepth);
-    u("loadQueueLines", p.loadQueueLines);
-    u("storeQueueLines", p.storeQueueLines);
-    u("storeCamEntries", p.storeCamEntries);
-    u("coalesceWindow", p.coalesceWindow);
-    u("switchPenalty", p.switchPenalty);
-    const Json &fu = j["fu"];
-    if (!fu.isNull()) {
-        auto c = [&](const char *key, Cycles &field) {
-            if (fu.has(key))
-                field = fu[key].asU64();
-        };
-        c("intAlu", p.fu.intAlu);
-        c("intMul", p.fu.intMul);
-        c("intDiv", p.fu.intDiv);
-        c("fpAdd", p.fu.fpAdd);
-        c("fpMul", p.fu.fpMul);
-        c("fpDiv", p.fu.fpDiv);
-        c("mem", p.fu.mem);
-        c("branch", p.fu.branch);
-    }
-    if (j.has("memPath")) {
-        const std::string &m = j["memPath"].asString();
-        if (m == "bankedL1")
-            p.memPath = VEngineParams::MemPath::bankedL1;
-        else if (m == "bigL1D")
-            p.memPath = VEngineParams::MemPath::bigL1D;
-        else if (m == "directL2")
-            p.memPath = VEngineParams::MemPath::directL2;
-        else
-            fatal("run document: unknown memPath '%s'", m.c_str());
-    }
-    if (j.has("controlsL1Mode"))
-        p.controlsL1Mode = j["controlsL1Mode"].asBool();
-    if (j.has("headDispatch"))
-        p.headDispatch = j["headDispatch"].asBool();
-    return p;
-}
-
-Json
 runOptionsToJson(const RunOptions &o)
 {
-    Json j = Json::object();
-    j.set("bigGhz", o.bigGhz);
-    j.set("littleGhz", o.littleGhz);
-    j.set("limitNs", o.limitNs);
-    j.set("verifyResult", o.verifyResult);
-    j.set("watchdog", o.watchdog);
-    j.set("watchdogIntervalNs", o.watchdogIntervalNs);
-    j.set("wallDeadlineSec", o.wallDeadlineSec);
-    if (o.engineOverride)
-        j.set("engineOverride", vengineParamsToJson(*o.engineOverride));
-    j.set("faults", faultSpecToJson(o.faults));
-    j.set("check", checkOptionsToJson(o.check));
-    j.set("trace", traceOptionsToJson(o.trace));
-    j.set("sampling", samplingOptionsToJson(o.sampling));
-    j.set("checkpoint", checkpointOptionsToJson(o.checkpoint));
-    return j;
+    return Writer::toJson(o);
 }
 
 RunOptions
 runOptionsFromJson(const Json &j)
 {
-    RunOptions o;
-    if (j.isNull())
-        return o;
-    if (j.has("bigGhz"))
-        o.bigGhz = j["bigGhz"].asDouble();
-    if (j.has("littleGhz"))
-        o.littleGhz = j["littleGhz"].asDouble();
-    if (j.has("limitNs"))
-        o.limitNs = j["limitNs"].asDouble();
-    if (j.has("verifyResult"))
-        o.verifyResult = j["verifyResult"].asBool();
-    if (j.has("watchdog"))
-        o.watchdog = j["watchdog"].asBool();
-    if (j.has("watchdogIntervalNs"))
-        o.watchdogIntervalNs = j["watchdogIntervalNs"].asDouble();
-    if (j.has("wallDeadlineSec"))
-        o.wallDeadlineSec = j["wallDeadlineSec"].asDouble();
-    if (j.has("engineOverride") && !j["engineOverride"].isNull())
-        o.engineOverride = vengineParamsFromJson(j["engineOverride"]);
-    o.faults = faultSpecFromJson(j["faults"]);
-    o.check = checkOptionsFromJson(j["check"]);
-    if (j.has("trace"))
-        o.trace = traceOptionsFromJson(j["trace"]);
-    if (j.has("sampling"))
-        o.sampling = samplingOptionsFromJson(j["sampling"]);
-    if (j.has("checkpoint"))
-        o.checkpoint = checkpointOptionsFromJson(j["checkpoint"]);
-    return o;
-}
-
-Json
-heartbeatsToJson(const std::vector<Watchdog::Heartbeat> &beats)
-{
-    Json arr = Json::array();
-    for (const auto &hb : beats) {
-        Json b = Json::object();
-        b.set("name", hb.name);
-        b.set("progress", hb.progress);
-        b.set("lastAdvance", hb.lastAdvance);
-        b.set("detail", hb.detail);
-        arr.push(std::move(b));
-    }
-    return arr;
-}
-
-std::vector<Watchdog::Heartbeat>
-heartbeatsFromJson(const Json &j)
-{
-    std::vector<Watchdog::Heartbeat> beats;
-    for (const auto &b : j.items()) {
-        Watchdog::Heartbeat hb;
-        hb.name = b["name"].asString();
-        hb.progress = b["progress"].asU64();
-        hb.lastAdvance = b["lastAdvance"].asU64();
-        hb.detail = b["detail"].asString();
-        beats.push_back(std::move(hb));
-    }
-    return beats;
-}
-
-Json
-divergenceToJson(const DivergenceRecord &d)
-{
-    Json dv = Json::object();
-    dv.set("stream", d.stream);
-    dv.set("seq", d.seq);
-    dv.set("tick", d.tick);
-    dv.set("instr", d.instr);
-    dv.set("field", d.field);
-    dv.set("timedValue", d.timedValue);
-    dv.set("refValue", d.refValue);
-    dv.set("chime", d.chime);
-    dv.set("queueContext", d.queueContext);
-    Json hist = Json::array();
-    for (const auto &line : d.lastRetires)
-        hist.push(line);
-    dv.set("lastRetires", std::move(hist));
-    return dv;
-}
-
-DivergenceRecord
-divergenceFromJson(const Json &j)
-{
-    DivergenceRecord d;
-    d.stream = j["stream"].asString();
-    d.seq = j["seq"].asU64();
-    d.tick = j["tick"].asU64();
-    d.instr = j["instr"].asString();
-    d.field = j["field"].asString();
-    d.timedValue = j["timedValue"].asU64();
-    d.refValue = j["refValue"].asU64();
-    d.chime = static_cast<int>(j["chime"].asI64());
-    d.queueContext = j["queueContext"].asString();
-    for (const auto &line : j["lastRetires"].items())
-        d.lastRetires.push_back(line.asString());
-    return d;
+    return fromJson<RunOptions>(j);
 }
 
 Json
 runResultToJson(const RunResult &r)
 {
-    Json j = Json::object();
-    j.set("workload", r.workload);
-    j.set("design", r.design);
-    j.set("status", runStatusName(r.status));
-    j.set("message", r.message);
-    j.set("log", r.log);
-    j.set("finished", r.finished);
-    j.set("verified", r.verified);
-    j.set("ns", r.ns);
-    j.set("ifetchReqs", r.ifetchReqs);
-    j.set("dataReqs", r.dataReqs);
-    j.set("bigFetched", r.bigFetched);
-    Json stats = Json::object();
-    for (const auto &kv : r.stats)
-        stats.set(kv.first, kv.second);
-    j.set("stats", std::move(stats));
-    if (!r.heartbeats.empty())
-        j.set("heartbeats", heartbeatsToJson(r.heartbeats));
-    if (r.divergence)
-        j.set("divergence", divergenceToJson(*r.divergence));
-    if (!r.invariantViolations.empty())
-        j.set("invariantViolations", r.invariantViolations);
-    return j;
+    return Writer::toJson(r);
 }
 
 RunResult
 runResultFromJson(const Json &j)
 {
-    RunResult r;
-    r.workload = j["workload"].asString();
-    r.design = j["design"].asString();
-    r.status = runStatusFromName(j["status"].asString());
-    r.message = j["message"].asString();
-    r.log = j["log"].asString();
-    r.finished = j["finished"].asBool();
-    r.verified = j["verified"].asBool();
-    r.ns = j["ns"].asDouble();
-    r.ifetchReqs = j["ifetchReqs"].asU64();
-    r.dataReqs = j["dataReqs"].asU64();
-    r.bigFetched = j["bigFetched"].asU64();
-    for (const auto &kv : j["stats"].members())
-        r.stats[kv.first] = kv.second.asU64();
-    if (j.has("heartbeats"))
-        r.heartbeats = heartbeatsFromJson(j["heartbeats"]);
-    if (j.has("divergence") && !j["divergence"].isNull())
-        r.divergence = divergenceFromJson(j["divergence"]);
-    if (j.has("invariantViolations"))
-        r.invariantViolations = j["invariantViolations"].asString();
-    return r;
+    return fromJson<RunResult>(j);
+}
+
+Json
+heartbeatsToJson(const std::vector<Watchdog::Heartbeat> &beats)
+{
+    return Writer::toJson(beats);
+}
+
+Json
+divergenceToJson(const DivergenceRecord &d)
+{
+    return Writer::toJson(d);
+}
+
+Json
+replayRecipeToJson(const SweepJob &recipe)
+{
+    return Writer::toJson(recipe);
+}
+
+SweepJob
+replayRecipeFromJson(const Json &j)
+{
+    return fromJson<SweepJob>(j);
 }
 
 } // namespace bvl

@@ -20,6 +20,7 @@
 #include "sim/clock_domain.hh"
 #include "sim/event_queue.hh"
 #include "sim/fault.hh"
+#include "sim/name_table.hh"
 #include "sim/stats.hh"
 #include "sim/trace/tracer.hh"
 #include "sim/watchdog.hh"
@@ -39,7 +40,14 @@ enum class Design
     d1b4VL,    ///< big.VLITTLE: big + VLITTLE engine of 4 little cores
 };
 
-const char *designName(Design d);
+inline constexpr NameTable<Design, std::size_t(Design::d1b4VL) + 1>
+    designNames{"1L", "1b", "1bIV", "1b-4L", "1bIV-4L", "1bDV", "1b-4VL"};
+
+inline const char *
+designName(Design d)
+{
+    return designNames.name(d);
+}
 
 /** Does the design include an engine, and which lanes does it use? */
 bool designHasVector(Design d);

@@ -212,9 +212,6 @@ SweepService::effectiveJob(const SweepJob &job,
         eff.opts.check.forensicsPath = std::move(p);
     }
 
-    if (opts.jobDeadlineNs > 0.0 &&
-        (eff.opts.limitNs <= 0.0 || eff.opts.limitNs > opts.jobDeadlineNs))
-        eff.opts.limitNs = opts.jobDeadlineNs;
     if (opts.wallDeadlineSec > 0.0)
         eff.opts.wallDeadlineSec = opts.wallDeadlineSec;
     return eff;

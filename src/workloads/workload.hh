@@ -28,6 +28,7 @@
 #include "isa/program.hh"
 #include "mem/backing_store.hh"
 #include "runtime/task_graph.hh"
+#include "sim/name_table.hh"
 #include "sim/rng.hh"
 
 namespace bvl
@@ -40,6 +41,9 @@ enum class Scale
     small,    ///< benchmark sizes (default for figure regeneration)
     medium,   ///< closer-to-paper sizes
 };
+
+inline constexpr NameTable<Scale, std::size_t(Scale::medium) + 1>
+    scaleNames{"tiny", "small", "medium"};
 
 class Workload
 {

@@ -16,6 +16,7 @@
 #include "sim/check/json.hh"
 #include "sim/check/minimize.hh"
 #include "soc/run_driver.hh"
+#include "soc/run_io.hh"
 #include "soc/soc.hh"
 #include "workloads/workload.hh"
 
@@ -104,8 +105,12 @@ TEST(ForensicsTest, FaultSpecRoundTrip)
     f.script.push_back({12345, FaultKind::vmuDrop, 0});
     f.script.push_back({99999, FaultKind::vcuStall, 40});
 
-    FaultSpec g = faultSpecFromJson(
-        Json::parse(faultSpecToJson(f).dump(2)));
+    // The plan persists as RunOptions::faults (soc/run_io.hh).
+    RunOptions opts;
+    opts.faults = f;
+    FaultSpec g =
+        runOptionsFromJson(Json::parse(runOptionsToJson(opts).dump(2)))
+            .faults;
     EXPECT_EQ(g.enabled, f.enabled);
     EXPECT_EQ(g.seed, f.seed);
     EXPECT_EQ(g.vmuDropProb, f.vmuDropProb);

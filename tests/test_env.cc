@@ -13,6 +13,7 @@
 #include <string>
 
 #include "sim/env.hh"
+#include "sim/io/io_fault.hh"
 #include "sweep/service/service.hh"
 
 namespace bvl
@@ -221,7 +222,7 @@ TEST(EnvParseTest, ScaleVariableIsStrict)
 {
     // The exact call bench_util.hh's chosenScale() makes.
     auto scaleIndex = [] {
-        return envChoice("BVL_SCALE", {"tiny", "small", "medium"}, -1);
+        return envChoice("BVL_SCALE", scaleNames, -1);
     };
     {
         ScopedEnv e("BVL_SCALE", nullptr);
@@ -239,6 +240,37 @@ TEST(EnvParseTest, ScaleVariableIsStrict)
     ScopedEnv e("BVL_SCALE", "large");
     std::string msg = fatalMessage(scaleIndex);
     EXPECT_NE(msg.find("tiny|small|medium"), std::string::npos) << msg;
+}
+
+// --- BVL_IO_FAULT_* (sim/io/io_fault.cc) ------------------------------
+
+TEST(EnvParseTest, IoFaultVariablesAreStrict)
+{
+    ScopedEnv spec("BVL_IO_FAULT", nullptr);
+    ScopedEnv prob("BVL_IO_FAULT_PROB", nullptr);
+    {
+        ScopedEnv seed("BVL_IO_FAULT_SEED", nullptr);
+        ScopedEnv crash("BVL_IO_FAULT_CRASH", nullptr);
+        io::IoFaultPlan p = io::ioFaultPlanFromEnv();
+        EXPECT_FALSE(p.enabled);
+        EXPECT_EQ(p.seed, 1u);
+        EXPECT_TRUE(p.crashExits);
+    }
+    {
+        ScopedEnv seed("BVL_IO_FAULT_SEED", "7");
+        ScopedEnv crash("BVL_IO_FAULT_CRASH", "throw");
+        io::IoFaultPlan p = io::ioFaultPlanFromEnv();
+        EXPECT_EQ(p.seed, 7u);
+        EXPECT_FALSE(p.crashExits);
+    }
+    for (const char *bad : {"abc", "7x", "", "-1", " 7"}) {
+        ScopedEnv seed("BVL_IO_FAULT_SEED", bad);
+        EXPECT_THROW(io::ioFaultPlanFromEnv(), SimFatalError)
+            << "accepted BVL_IO_FAULT_SEED='" << bad << "'";
+    }
+    ScopedEnv crash("BVL_IO_FAULT_CRASH", "abort");
+    std::string msg = fatalMessage([] { io::ioFaultPlanFromEnv(); });
+    EXPECT_NE(msg.find("exit|throw"), std::string::npos) << msg;
 }
 
 } // namespace

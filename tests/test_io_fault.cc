@@ -118,6 +118,9 @@ TEST(IoFaultPlanTest, MalformedSpecIsFatal)
     EXPECT_THROW(io::ioFaultPlanFromSpec("bogus@3"), SimFatalError);
     EXPECT_THROW(io::ioFaultPlanFromSpec("@3"), SimFatalError);
     EXPECT_THROW(io::ioFaultPlanFromSpec("eio@"), SimFatalError);
+    // Past the range of a long long: a fatal, not std::out_of_range.
+    EXPECT_THROW(io::ioFaultPlanFromSpec("eio@99999999999999999999"),
+                 SimFatalError);
 }
 
 TEST(IoFaultPlanTest, ScriptedFaultFiresOnceAtMatchingLabel)

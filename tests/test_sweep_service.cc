@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "sim/check/forensics.hh"
+#include "sim/io/io_fault.hh"
 #include "soc/checkpoint.hh"
 #include "soc/run_io.hh"
 #include "vector/engine_presets.hh"
@@ -199,26 +200,43 @@ TEST(SweepServiceTest, RunOptionsRoundTripIsExact)
     EXPECT_EQ(back.bigGhz, opts.bigGhz);
 }
 
+/**
+ * Every value of @p names has a unique name that parses back to it,
+ * and the value past the end is unnamed.
+ */
+template <class E, std::size_t N>
+void
+expectNamesExhaustiveAndRoundTrip(const NameTable<E, N> &names)
+{
+    std::set<std::string> seen;
+    for (std::size_t i = 0; i < N; ++i) {
+        auto e = static_cast<E>(i);
+        std::string name = names.name(e);
+        EXPECT_NE(name, "?") << "value " << i << " is unnamed";
+        EXPECT_TRUE(seen.insert(name).second)
+            << "duplicate name '" << name << "'";
+        EXPECT_EQ(names.parse(name), e) << name;
+    }
+    EXPECT_STREQ(names.name(static_cast<E>(N)), "?");
+    EXPECT_EQ(names.parse("no-such-name"), std::nullopt);
+}
+
 TEST(SweepServiceTest, RunStatusNamesAreExhaustiveAndRoundTrip)
 {
-    // Iterates the enum by count: adding a RunStatus without updating
-    // numRunStatuses + runStatusName (and thus run_io) fails here, not
-    // in a sweep journal three PRs later.
-    std::set<std::string> seen;
+    // Iterates each persisted enum by count: a value the journal, the
+    // cache or a failure report cannot name or parse back fails here,
+    // not in a sweep journal three PRs later.
+    expectNamesExhaustiveAndRoundTrip(runStatusNames);
     for (unsigned i = 0; i < numRunStatuses; ++i) {
         auto s = static_cast<RunStatus>(i);
-        std::string name = runStatusName(s);
-        EXPECT_NE(name, "?") << "RunStatus " << i << " is unnamed; "
-                             << "extend runStatusName()";
-        EXPECT_TRUE(seen.insert(name).second)
-            << "duplicate status name '" << name << "'";
-        EXPECT_EQ(runStatusFromName(name), s);
+        EXPECT_EQ(runStatusFromName(runStatusName(s)), s);
     }
-    // ...and the value past the end must be unnamed, so forgetting to
-    // bump numRunStatuses after extending the enum also fails.
-    EXPECT_STREQ(runStatusName(static_cast<RunStatus>(numRunStatuses)),
-                 "?");
     EXPECT_THROW(runStatusFromName("no-such-status"), SimFatalError);
+    expectNamesExhaustiveAndRoundTrip(designNames);
+    expectNamesExhaustiveAndRoundTrip(scaleNames);
+    expectNamesExhaustiveAndRoundTrip(faultKindNames);
+    expectNamesExhaustiveAndRoundTrip(memPathNames);
+    expectNamesExhaustiveAndRoundTrip(io::ioFaultKindNames);
 }
 
 TEST(SweepServiceTest, RunOptionsEveryFieldRoundTripsExactly)
