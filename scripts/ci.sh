@@ -131,9 +131,12 @@ leg_trace() {
     cmp build/fig04.j1 build/fig04.traced.j1   # tracing never perturbs
     diff <(cd build/traces.j1 && md5sum *.json) \
          <(cd build/traces.j4 && md5sum *.json)
+    # The render must list instructions: "no matching instructions"
+    # means the VCU track lost its dispatch/complete async pairs.
     python3 scripts/pipeview.py \
         "$(ls build/traces.j1/*_1b-4VL_saxpy.json | head -1)" \
-        --track vcu --limit 5 >/dev/null
+        --track vcu --limit 5 > build/pipeview.vcu
+    grep -Eq '^# [1-9][0-9]* instructions' build/pipeview.vcu
     echo "traces are byte-identical across thread counts"
 }
 

@@ -1,6 +1,7 @@
 #include "core/vlittle_engine.hh"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 
 #include "sim/check/check_context.hh"
@@ -37,6 +38,9 @@ vregIdx(RegId r)
 {
     return isVReg(r) ? static_cast<int>(regIndex(r)) : -1;
 }
+
+/** Queue entries the VMSU's store-address CAM check covers per cycle. */
+constexpr unsigned camScanWindow = 8;
 
 } // namespace
 
@@ -112,10 +116,20 @@ VlittleEngine::laneOfElem(unsigned elem_idx, unsigned sew_bytes) const
 // VectorEngine interface
 // --------------------------------------------------------------------
 
+VlittleEngine::VInstr *
+VlittleEngine::find(SeqNum vseq)
+{
+    // A vseq older than the front wraps around to out of range.
+    SeqNum i = instrs.empty() ? 0 : vseq - instrs.front().vseq;
+    if (i >= instrs.size() || instrs[i].completed)
+        return nullptr;
+    return &instrs[i];
+}
+
 bool
 VlittleEngine::canAccept(const ExecTrace &trace) const
 {
-    if (cmdQueue.size() >= p.cmdQueueDepth)
+    if (commandsQueued() >= p.cmdQueueDepth)
         return false;
     if (needsScalarData(*trace.inst) && dataSlotsUsed >= p.dataQueueDepth)
         return false;
@@ -142,36 +156,35 @@ VlittleEngine::dispatch(const ExecTrace &tr,
         }
     }
 
-    auto vi = std::make_shared<VInstr>();
-    vi->vseq = nextVseq++;
-    vi->trace = tr;
-    vi->onDone = std::move(onDone);
-    vi->needsDataSlot = needsScalarData(*tr.inst);
-    if (vi->needsDataSlot)
+    VInstr &vi = instrs.emplace_back();
+    vi.vseq = nextVseq++;
+    vi.trace = tr;
+    vi.onDone = std::move(onDone);
+    vi.needsDataSlot = needsScalarData(*tr.inst);
+    if (vi.needsDataSlot)
         ++dataSlotsUsed;
+    ++live;
 
-    cmdQueue.push_back(vi);
-    inflight[vi->vseq] = vi;
     sDispatched++;
     if (trace) {
-        vi->dispatchTick = clock().eventQueue().now();
+        vi.dispatchTick = clock().eventQueue().now();
         if (trace->wants(TraceCat::vcu)) {
             Json args = Json::object();
-            args.set("vseq", vi->vseq);
+            args.set("vseq", vi.vseq);
             args.set("op", opName(tr.inst->op));
             trace->instant(TraceCat::vcu, tidVcu, "dispatch",
-                           vi->dispatchTick, std::move(args));
+                           vi.dispatchTick, std::move(args));
         }
     }
     if (check)
-        check->onVecDispatch(vi->vseq);
+        check->onVecDispatch(vi.vseq);
     activate();
 }
 
 bool
 VlittleEngine::idle() const
 {
-    return cmdQueue.empty() && inflight.empty();
+    return live == 0;
 }
 
 void
@@ -333,46 +346,45 @@ VlittleEngine::vcuFrontTick()
     // Decoupled from the broadcast stage so that stalled lanes do not
     // keep the memory side from running ahead (paper Section III-B).
     auto &eq = clock().eventQueue();
-    if (cmdQueue.empty() || eq.now() < switchReadyAt)
+    if (commandsQueued() == 0 || eq.now() < switchReadyAt)
         return;
 
-    VInstrPtr vi = cmdQueue.front();
-    const Instr &in = *vi->trace.inst;
+    VInstr &vi = *find(vcuHead);
+    const Instr &in = *vi.trace.inst;
+    auto popCommand = [&] {
+        ++vcuHead;
+        if (vi.needsDataSlot)
+            --dataSlotsUsed;
+    };
 
-    if (!vi->cracked) {
-        crack(*vi);
-        vi->broadcastRemaining =
-            static_cast<unsigned>(vi->plan.size());
+    if (!vi.cracked) {
+        crack(vi);
+        vi.broadcastRemaining = static_cast<unsigned>(vi.plan.size());
     }
 
     // vsetvli executes in the VCU (paper Section III-B).
     if (in.op == Op::vsetvli) {
-        cmdQueue.pop_front();
-        if (vi->needsDataSlot)
-            --dataSlotsUsed;
-        completeInstr(*vi);
+        popCommand();
+        completeInstr(vi);
         return;
     }
 
     // vmfence: all older instructions must have fully completed.
     if (in.op == Op::vmfence) {
-        if (inflight.size() == 1 && vmiuQueue.empty() &&
-            uopQueue.empty()) {
-            cmdQueue.pop_front();
-            if (vi->needsDataSlot)
-                --dataSlotsUsed;
-            completeInstr(*vi);
+        if (live == 1 && vmiuQueue.empty() && uopQueue.empty()) {
+            popCommand();
+            completeInstr(vi);
         }
         return;
     }
 
     // Cross-element instructions: one at a time in the VXU.
-    if (vi->isCross) {
-        if (vxuVseq != 0 && vxuVseq != vi->vseq)
+    if (vi.isCross) {
+        if (vxuVseq != 0 && vxuVseq != vi.vseq)
             return;   // wait for the outstanding cross-element op
         if (vxuVseq == 0) {
-            vxuVseq = vi->vseq;
-            unsigned chimeCount = activeChimes(vi->trace);
+            vxuVseq = vi.vseq;
+            unsigned chimeCount = activeChimes(vi.trace);
             vxReadsExpected = chimeCount * p.numLanes;
             vxReadsDone = 0;
             vxDeliverAt = maxTick;
@@ -381,25 +393,22 @@ VlittleEngine::vcuFrontTick()
 
     // Memory command to the VMIU (decoupling: issued before any of
     // this instruction's micro-ops reach the lanes).
-    if (in.traits().isVecMem && !vi->memCmdSent) {
+    if (in.traits().isVecMem && !vi.memCmdSent) {
         if (vmiuQueue.size() >= p.vmiuQueueDepth)
             return;
-        vmiuQueue.push_back(vi);
-        vi->memCmdSent = true;
-        vmiuNextElem[vi->vseq] = 0;
+        vmiuQueue.push_back(&vi);
+        vi.memCmdSent = true;
         sVmiuCmds++;
     }
 
     // Move the whole micro-op plan into the UopQ.
-    if (uopQueue.size() + vi->plan.size() > p.uopQueueDepth)
+    if (uopQueue.size() + vi.plan.size() > p.uopQueueDepth)
         return;
-    for (unsigned i = 0; i < vi->plan.size(); ++i)
-        uopQueue.push_back(QueuedUop{vi, i});
-    cmdQueue.pop_front();
-    if (vi->needsDataSlot)
-        --dataSlotsUsed;
-    if (vi->plan.empty())
-        checkInstrDone(vi->vseq);
+    for (unsigned i = 0; i < vi.plan.size(); ++i)
+        uopQueue.push_back(QueuedUop{&vi, i});
+    popCommand();
+    if (vi.plan.empty())
+        checkInstrDone(vi);
 }
 
 void
@@ -429,10 +438,10 @@ VlittleEngine::vcuBroadcastTick()
     }
 
     QueuedUop &qu = uopQueue.front();
-    VInstrPtr vi = qu.vi;
-    const Instr &in = *vi->trace.inst;
-    const VUop &uop = vi->plan[qu.idx];
-    int target = vi->planTarget[qu.idx];
+    VInstr &vi = *qu.vi;
+    const Instr &in = *vi.trace.inst;
+    const VUop &uop = vi.plan[qu.idx];
+    int target = vi.planTarget[qu.idx];
 
     if (target < 0) {
         for (const auto &lane : lanes) {
@@ -442,14 +451,14 @@ VlittleEngine::vcuBroadcastTick()
             }
         }
         unsigned sew = in.traits().isVecMem
-            ? in.ew : std::max<unsigned>(1, vi->trace.sew);
+            ? in.ew : std::max<unsigned>(1, vi.trace.sew);
         unsigned pf = packFactor(sew);
         unsigned epc = elemsPerChime(sew);
         for (unsigned l = 0; l < p.numLanes; ++l) {
             VUop laneUop = uop;
             // Elements this lane handles in this chime.
             unsigned base = uop.chime * epc + l * pf;
-            unsigned vl = vi->trace.vl;
+            unsigned vl = vi.trace.vl;
             laneUop.elems = base >= vl
                 ? 0 : std::min<unsigned>(pf, vl - base);
             lanes[l]->pushUop(laneUop);
@@ -461,7 +470,7 @@ VlittleEngine::vcuBroadcastTick()
         }
         VUop laneUop = uop;
         laneUop.elems = std::min<unsigned>(laneUop.packFactor,
-                                           std::max(1u, vi->trace.vl));
+                                           std::max(1u, vi.trace.vl));
         lanes[target]->pushUop(laneUop);
     }
 
@@ -469,16 +478,16 @@ VlittleEngine::vcuBroadcastTick()
     sUopsBroadcast++;
     if (trace && trace->wants(TraceCat::vcu)) {
         Json args = Json::object();
-        args.set("vseq", vi->vseq);
+        args.set("vseq", vi.vseq);
         args.set("chime", uop.chime);
         args.set("kind", uopKindName(uop.kind));
         args.set("op", opName(in.op));
         trace->instant(TraceCat::vcu, tidVcu, "broadcast", beq.now(),
                        std::move(args));
     }
-    bvl_assert(vi->broadcastRemaining > 0, "broadcast underflow");
-    if (--vi->broadcastRemaining == 0)
-        checkInstrDone(vi->vseq);
+    bvl_assert(vi.broadcastRemaining > 0, "broadcast underflow");
+    if (--vi.broadcastRemaining == 0)
+        checkInstrDone(vi);
 }
 
 // --------------------------------------------------------------------
@@ -496,10 +505,9 @@ VlittleEngine::deliverLine(unsigned vmsu_idx, SeqNum vseq,
     }
     if (isStore) {
         --vmsus[vmsu_idx].storeSlotsUsed;
-        auto it = inflight.find(vseq);
-        if (it != inflight.end()) {
-            ++it->second->storeLinesDone;
-            checkInstrDone(vseq);
+        if (VInstr *vi = find(vseq)) {
+            ++vi->storeLinesDone;
+            checkInstrDone(*vi);
         }
     } else {
         vluDataReady.insert(reqSeq);
@@ -581,25 +589,28 @@ VlittleEngine::vmiuTick()
 {
     if (vmiuQueue.empty())
         return;
-    VInstrPtr vi = vmiuQueue.front();
-    const Instr &in = *vi->trace.inst;
-    const auto &addrs = vi->trace.elemAddrs;
+    VInstr &vi = *vmiuQueue.front();
+    const Instr &in = *vi.trace.inst;
+    const auto &addrs = vi.trace.elemAddrs;
     bool isStore = in.traits().isVecStore;
     bool indexed = in.op == Op::vluxei || in.op == Op::vsuxei;
-    SeqNum vseq = vi->vseq;
+    SeqNum vseq = vi.vseq;
 
     if (addrs.empty()) {
-        vi->memGenDone = true;
+        vi.memGenDone = true;
         vmiuQueue.pop_front();
-        checkInstrDone(vseq);
+        checkInstrDone(vi);
         return;
     }
 
-    unsigned ne = vmiuNextElem[vseq];
+    unsigned ne = vi.nextElem;
     unsigned avail = static_cast<unsigned>(addrs.size());
     if (indexed) {
+        // A chime's indices are complete once every lane has sent its
+        // share; lanes execute chimes in order, so counting is enough.
         unsigned epc = elemsPerChime(in.ew);
-        avail = std::min<unsigned>(avail, idxChimesReady[vseq] * epc);
+        avail = std::min<unsigned>(avail,
+                                   vi.idxSends / p.numLanes * epc);
         if (ne >= avail)
             return;   // waiting for index values from the lanes
     }
@@ -652,7 +663,7 @@ VlittleEngine::vmiuTick()
         ++m.storeSlotsUsed;
         ++m.camUsed;
         vsuOrder.push_back(req);
-        ++vi->storeLinesTotal;
+        ++vi.storeLinesTotal;
     } else {
         ++m.loadSlotsUsed;
         vluOrder.push_back(req);
@@ -673,11 +684,11 @@ VlittleEngine::vmiuTick()
                        clock().eventQueue().now(), std::move(args));
     }
 
-    vmiuNextElem[vseq] = ne + count;
+    vi.nextElem = ne + count;
     if (ne + count == addrs.size()) {
-        vi->memGenDone = true;
+        vi.memGenDone = true;
         vmiuQueue.pop_front();
-        checkInstrDone(vseq);
+        checkInstrDone(vi);
     }
 }
 
@@ -693,10 +704,11 @@ VlittleEngine::vmsuTick(unsigned idx)
     // VSU, but only if its line does not match any of them (the
     // store-address CAM check, paper Section III-E).
     Vmsu &m = vmsus[idx];
-    std::unordered_set<Addr> olderStoreLines;
+    std::array<Addr, camScanWindow> olderStoreLines;
+    unsigned olderStores = 0;
     unsigned scanned = 0;
     for (auto it = m.queue.begin();
-         it != m.queue.end() && scanned < 8; ++it, ++scanned) {
+         it != m.queue.end() && scanned < camScanWindow; ++it, ++scanned) {
         LineReq req = *it;
         if (req.isStore) {
             if (m.storeDataReady.count(req.reqSeq)) {
@@ -707,9 +719,11 @@ VlittleEngine::vmsuTick(unsigned idx)
                 issueToMemory(idx, req);
                 return;
             }
-            olderStoreLines.insert(req.lineAddr);
+            olderStoreLines[olderStores++] = req.lineAddr;
         } else {
-            if (olderStoreLines.count(req.lineAddr)) {
+            auto olderEnd = olderStoreLines.begin() + olderStores;
+            if (std::find(olderStoreLines.begin(), olderEnd,
+                          req.lineAddr) != olderEnd) {
                 sVmsuRawStalls++;
                 continue;   // RAW through memory: wait for the store
             }
@@ -741,10 +755,9 @@ VlittleEngine::vluTick()
             return;
     }
 
-    auto it = inflight.find(req.vseq);
-    if (it != inflight.end()) {
-        const Instr &in = *it->second->trace.inst;
-        auto &counts = arrived[req.vseq];
+    if (VInstr *vi = find(req.vseq)) {
+        const Instr &in = *vi->trace.inst;
+        auto &counts = vi->arrived;
         if (counts.empty())
             counts.assign(p.numLanes * p.chimes, 0);
         unsigned epc = elemsPerChime(in.ew);
@@ -781,9 +794,8 @@ VlittleEngine::vsuTick()
     if (vsuOrder.empty())
         return;
     LineReq &req = vsuOrder.front();
-    auto it = storeElemsReceived.find(req.vseq);
-    unsigned have = it == storeElemsReceived.end() ? 0 : it->second;
-    if (have < req.elemStart + req.elemCount)
+    const VInstr *vi = find(req.vseq);
+    if (!vi || vi->storeElemsReceived < req.elemStart + req.elemCount)
         return;   // lanes have not produced this line's elements yet
     if (trace && trace->wants(TraceCat::vmu)) {
         Json args = Json::object();
@@ -807,10 +819,10 @@ VlittleEngine::loadDataReady(SeqNum vseq, unsigned lane, unsigned chime,
 {
     if (needed == 0)
         return true;
-    auto it = arrived.find(vseq);
-    if (it == arrived.end())
+    const VInstr *vi = find(vseq);
+    if (!vi || vi->arrived.empty())
         return false;
-    return it->second[lane * p.chimes + std::min(chime, p.chimes - 1)] >=
+    return vi->arrived[lane * p.chimes + std::min(chime, p.chimes - 1)] >=
            needed;
 }
 
@@ -818,18 +830,15 @@ void
 VlittleEngine::storeDataFromLane(SeqNum vseq, unsigned, unsigned,
                                  unsigned elems)
 {
-    storeElemsReceived[vseq] += elems;
+    if (VInstr *vi = find(vseq))
+        vi->storeElemsReceived += elems;
 }
 
 void
 VlittleEngine::indexFromLane(SeqNum vseq, unsigned, unsigned)
 {
-    // A chime's indices are complete once every lane has sent its
-    // share; lanes execute chimes in order, so counting is enough.
-    auto &done = idxSendCounts[vseq];
-    ++done;
-    if (done % p.numLanes == 0)
-        ++idxChimesReady[vseq];
+    if (VInstr *vi = find(vseq))
+        ++vi->idxSends;
 }
 
 void
@@ -849,9 +858,8 @@ VlittleEngine::vxSourceFromLane(SeqNum vseq, unsigned lane,
                        clock().eventQueue().now(), std::move(args));
     }
     if (vxReadsDone == vxReadsExpected) {
-        auto it = inflight.find(vseq);
-        unsigned totalElems =
-            it != inflight.end() ? std::max(1u, it->second->trace.vl) : 1;
+        VInstr *vi = find(vseq);
+        unsigned totalElems = vi ? std::max(1u, vi->trace.vl) : 1;
         // The ring shifts one hop per cycle for N element slots.
         vxDeliverAt = clock().eventQueue().now() +
                       clock().cyclesToTicks(totalElems);
@@ -863,14 +871,15 @@ VlittleEngine::vxSourceFromLane(SeqNum vseq, unsigned lane,
                         clock().eventQueue().now(), vxDeliverAt,
                         std::move(args));
         }
-        if (it != inflight.end() && it->second->scalarViaRing) {
+        if (vi && vi->scalarViaRing) {
             // Scalar result returns to the big core after the ring
             // traversal plus one response hop.
-            VInstrPtr vi = it->second;
             vi->ringDoneAt = clock().eventQueue().now() +
                              clock().cyclesToTicks(p.numLanes + 1);
-            clock().eventQueue().scheduleAt(
-                vi->ringDoneAt, [this, vi] { checkInstrDone(vi->vseq); });
+            clock().eventQueue().scheduleAt(vi->ringDoneAt, [this, vseq] {
+                if (VInstr *done = find(vseq))
+                    checkInstrDone(*done);
+            });
         }
     }
 }
@@ -891,15 +900,14 @@ VlittleEngine::vxReadsComplete(SeqNum vseq)
 void
 VlittleEngine::uopRetired(SeqNum vseq, unsigned chime)
 {
-    auto it = inflight.find(vseq);
-    if (it == inflight.end())
+    VInstr *vi = find(vseq);
+    if (!vi)
         return;
-    bvl_assert(it->second->lanePending > 0, "%s: uop underflow",
-               p.name.c_str());
-    --it->second->lanePending;
+    bvl_assert(vi->lanePending > 0, "%s: uop underflow", p.name.c_str());
+    --vi->lanePending;
     if (check)
         check->onUopRetired(vseq, chime, clock().eventQueue().now());
-    checkInstrDone(vseq);
+    checkInstrDone(*vi);
     activate();
 }
 
@@ -908,12 +916,8 @@ VlittleEngine::uopRetired(SeqNum vseq, unsigned chime)
 // --------------------------------------------------------------------
 
 void
-VlittleEngine::checkInstrDone(SeqNum vseq)
+VlittleEngine::checkInstrDone(VInstr &vi)
 {
-    auto it = inflight.find(vseq);
-    if (it == inflight.end())
-        return;
-    VInstr &vi = *it->second;
     if (vi.completed || !vi.cracked || vi.broadcastRemaining > 0)
         return;
 
@@ -945,6 +949,7 @@ VlittleEngine::completeInstr(VInstr &vi)
     if (vi.completed)
         return;
     vi.completed = true;
+    --live;
     sCompleted++;
     if (trace && trace->wants(TraceCat::vcu)) {
         // Vector instruction lifetimes overlap in the engine, so they
@@ -967,15 +972,11 @@ VlittleEngine::completeInstr(VInstr &vi)
         vxReadsExpected = vxReadsDone = 0;
         vxDeliverAt = maxTick;
     }
-    arrived.erase(vi.vseq);
-    storeElemsReceived.erase(vi.vseq);
-    vmiuNextElem.erase(vi.vseq);
-    idxChimesReady.erase(vi.vseq);
-    idxSendCounts.erase(vi.vseq);
 
     SeqNum vseq = vi.vseq;
     auto onDone = std::move(vi.onDone);
-    inflight.erase(vi.vseq);
+    while (!instrs.empty() && instrs.front().completed)
+        instrs.pop_front();   // vi goes here or when it reaches the front
     if (check)
         check->onVecComplete(vseq);
     if (onDone)
@@ -1011,8 +1012,8 @@ VlittleEngine::registerInvariants(InvariantRegistry &reg)
     // VCU queue and credit conservation: every bound here is a credit
     // the dispatch/crack logic must never oversubscribe.
     reg.add(sp + "vcu.queues", [this]() -> std::string {
-        if (cmdQueue.size() > p.cmdQueueDepth)
-            return "command queue " + std::to_string(cmdQueue.size()) +
+        if (commandsQueued() > p.cmdQueueDepth)
+            return "command queue " + std::to_string(commandsQueued()) +
                    " > depth " + std::to_string(p.cmdQueueDepth);
         if (uopQueue.size() > p.uopQueueDepth)
             return "uop queue " + std::to_string(uopQueue.size()) +
@@ -1026,8 +1027,8 @@ VlittleEngine::registerInvariants(InvariantRegistry &reg)
         // Every consumed scalar-data slot must belong to an in-flight
         // or still-queued instruction that claimed one.
         unsigned claimed = 0;
-        for (const auto &kv : inflight)
-            claimed += kv.second->needsDataSlot ? 1 : 0;
+        for (const VInstr &vi : instrs)
+            claimed += !vi.completed && vi.needsDataSlot ? 1 : 0;
         if (dataSlotsUsed > claimed)
             return std::to_string(dataSlotsUsed) +
                    " data slots used but only " +
@@ -1062,9 +1063,8 @@ VlittleEngine::registerInvariants(InvariantRegistry &reg)
         // Broadcast bookkeeping: an instruction past cracking can
         // never owe more broadcasts than its plan contains, nor more
         // lane retires than a full per-lane fan-out of that plan.
-        for (const auto &kv : inflight) {
-            const VInstr &vi = *kv.second;
-            if (!vi.cracked)
+        for (const VInstr &vi : instrs) {
+            if (vi.completed || !vi.cracked)
                 continue;
             if (vi.broadcastRemaining > vi.plan.size())
                 return "vseq " + std::to_string(vi.vseq) +
@@ -1107,7 +1107,7 @@ VlittleEngine::inflightReport()
     if (idle())
         return vectorMode ? "idle (vector mode)" : "";
 
-    std::string out = "cmdQ " + std::to_string(cmdQueue.size()) +
+    std::string out = "cmdQ " + std::to_string(commandsQueued()) +
                       " uopQ " + std::to_string(uopQueue.size()) +
                       " vmiuQ " + std::to_string(vmiuQueue.size()) +
                       " vluQ " + std::to_string(vluOrder.size()) +
@@ -1139,8 +1139,9 @@ VlittleEngine::inflightReport()
                std::to_string(m.camUsed);
     }
     unsigned listed = 0;
-    for (const auto &kv : inflight) {
-        const VInstr &vi = *kv.second;
+    for (const VInstr &vi : instrs) {
+        if (vi.completed)
+            continue;
         out += " | v" + std::to_string(vi.vseq) + " " +
                opName(vi.trace.inst->op) + " lanePend " +
                std::to_string(vi.lanePending) + " bcastRem " +

@@ -25,9 +25,7 @@
 #define BVL_CORE_VLITTLE_ENGINE_HH
 
 #include <deque>
-#include <map>
 #include <memory>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -147,7 +145,7 @@ class VlittleEngine : public Clocked, public VectorEngine, public LaneEnv
     bool tick() override;
 
   private:
-    /** One dynamic vector instruction in flight in the engine. */
+    /** One dispatched vector instruction, until it completes. */
     struct VInstr
     {
         SeqNum vseq = 0;
@@ -171,8 +169,12 @@ class VlittleEngine : public Clocked, public VectorEngine, public LaneEnv
         bool completed = false;
         /** Dispatch timestamp, recorded only while tracing. */
         Tick dispatchTick = 0;
+
+        unsigned nextElem = 0;        ///< VMIU: next element to send
+        unsigned idxSends = 0;        ///< index-send uops the lanes ran
+        std::vector<unsigned> arrived;   ///< VLU: elems per (lane, chime)
+        unsigned storeElemsReceived = 0;   ///< VSU: elements from lanes
     };
-    using VInstrPtr = std::shared_ptr<VInstr>;
 
     /** One cache-line request generated by the VMIU. */
     struct LineReq
@@ -216,9 +218,14 @@ class VlittleEngine : public Clocked, public VectorEngine, public LaneEnv
     void vluTick();
     void vsuTick();
 
+    /** The live record of @p vseq; nullptr once it has completed. */
+    VInstr *find(SeqNum vseq);
+    /** Instructions dispatched but not yet cracked into the UopQ. */
+    SeqNum commandsQueued() const { return nextVseq - vcuHead; }
+
     void crack(VInstr &vi);
     void completeInstr(VInstr &vi);
-    void checkInstrDone(SeqNum vseq);
+    void checkInstrDone(VInstr &vi);
     unsigned packFactor(unsigned sewBytes) const;
     unsigned elemsPerChime(unsigned sewBytes) const;
     unsigned activeChimes(const ExecTrace &trace) const;
@@ -250,12 +257,22 @@ class VlittleEngine : public Clocked, public VectorEngine, public LaneEnv
 
     std::vector<std::unique_ptr<VectorLane>> lanes;
 
+    /**
+     * Records indexed by vseq - front().vseq; completed ones leave once
+     * they reach the front. Not a fixed ring: an instruction that
+     * writes no scalar retires from the big core at dispatch, so no
+     * queue depth bounds how many are in flight here.
+     */
+    std::deque<VInstr> instrs;
+    SeqNum nextVseq = 1;
+    unsigned live = 0;   ///< records not yet completed
+
     // VCU state
-    std::deque<VInstrPtr> cmdQueue;
+    SeqNum vcuHead = 1;   ///< command queue: records [vcuHead, nextVseq)
     /** Cracked micro-ops awaiting lock-step broadcast (paper's UopQ). */
     struct QueuedUop
     {
-        VInstrPtr vi;
+        VInstr *vi;
         unsigned idx;
     };
     std::deque<QueuedUop> uopQueue;
@@ -264,16 +281,9 @@ class VlittleEngine : public Clocked, public VectorEngine, public LaneEnv
     Tick switchReadyAt = 0;
     bool lockstepBlocked = false;
 
-    // in-flight instruction table
-    std::map<SeqNum, VInstrPtr> inflight;
-    SeqNum nextVseq = 1;
-
     // VMIU state
-    std::deque<VInstrPtr> vmiuQueue;
+    std::deque<VInstr *> vmiuQueue;
     std::uint64_t nextReqSeq = 1;
-    std::unordered_map<SeqNum, unsigned> vmiuNextElem;
-    std::unordered_map<SeqNum, unsigned> idxChimesReady;
-    std::unordered_map<SeqNum, unsigned> idxSendCounts;
 
     // VMSUs
     std::vector<Vmsu> vmsus;
@@ -282,12 +292,9 @@ class VlittleEngine : public Clocked, public VectorEngine, public LaneEnv
     std::deque<LineReq> vluOrder;
     std::unordered_set<std::uint64_t> vluDataReady;
     unsigned vluHeadDelivered = 0;
-    /** delivered element counts per (vseq, lane, chime) */
-    std::unordered_map<SeqNum, std::vector<unsigned>> arrived;
 
     // VSU state
     std::deque<LineReq> vsuOrder;
-    std::unordered_map<SeqNum, unsigned> storeElemsReceived;
 
     // VXU state
     SeqNum vxuVseq = 0;

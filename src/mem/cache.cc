@@ -338,41 +338,6 @@ Cache::warmAccess(Addr addr, bool isWrite)
     installLine(lineNum, isWrite, /*warm=*/true);
 }
 
-std::vector<Cache::WayState>
-Cache::dumpWays() const
-{
-    std::vector<WayState> out;
-    out.reserve(static_cast<std::size_t>(numSets) * p.assoc);
-    for (const auto &set : sets)
-        for (const auto &way : set)
-            out.push_back({way.valid, way.dirty, way.line,
-                           way.lastUse});
-    return out;
-}
-
-bool
-Cache::loadWays(const std::vector<WayState> &ways)
-{
-    if (ways.size() != static_cast<std::size_t>(numSets) * p.assoc)
-        return false;
-    bvl_assert(mshrs.empty() && pendingQueue.empty(),
-               "%s: loadWays on a busy cache", p.name.c_str());
-    lineMap.clear();
-    std::size_t i = 0;
-    for (unsigned s = 0; s < numSets; ++s) {
-        for (auto &way : sets[s]) {
-            const WayState &ws = ways[i++];
-            way.valid = ws.valid;
-            way.dirty = ws.dirty;
-            way.line = ws.line;
-            way.lastUse = ws.lastUse;
-            if (way.valid)
-                lineMap[way.line] = s;
-        }
-    }
-    return true;
-}
-
 void
 Cache::issuePending()
 {

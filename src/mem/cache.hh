@@ -109,28 +109,6 @@ class Cache
      */
     void warmAccess(Addr addr, bool isWrite);
 
-    /** Flat snapshot of one way (checkpoint payload, DESIGN.md §15). */
-    struct WayState
-    {
-        bool valid = false;
-        bool dirty = false;
-        Addr line = 0;
-        Tick lastUse = 0;
-    };
-
-    /** Set-major (sets x assoc) dump of every way's tag state. */
-    std::vector<WayState> dumpWays() const;
-
-    /**
-     * Restore tag state saved by dumpWays() from an identical
-     * geometry; rebuilds the line map. Only valid on an idle cache
-     * (no MSHRs, no pending requests). Returns false — leaving the
-     * cache untouched — on a geometry mismatch.
-     */
-    bool loadWays(const std::vector<WayState> &ways);
-
-    unsigned setCount() const { return numSets; }
-
     /** Drop a line (directory invalidation); no timing charged here. */
     void invalidate(Addr lineAddr);
 

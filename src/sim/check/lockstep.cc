@@ -180,7 +180,7 @@ LockstepChecker::onFetchExecuted(const ArchState &arch,
     (void)now;
     std::uint64_t seq = nextSeq++;
     RetireRecord rec = capture(arch, tr, mem, seq);
-    if (seq == corruptSeq) {
+    if (seq == corruptSeq && !corruptShadowOnly) {
         rec.rdValue ^= corruptMask;
         rec.chimeHash[0] ^= corruptMask;
     }
@@ -199,6 +199,8 @@ LockstepChecker::onVecQueued()
     sh.chimes = rec.chimes;
     sh.inst = rec.inst;
     sh.timedHash = rec.chimeHash;
+    if (sh.seq == corruptSeq && corruptShadowOnly)
+        sh.timedHash[0] ^= corruptMask;
     vecFifo.push_back(std::move(sh));
 }
 

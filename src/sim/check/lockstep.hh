@@ -166,12 +166,17 @@ class LockstepChecker
      * Test hook: XOR @p mask into the timed-side destination value and
      * first chime hash of dynamic instruction @p seq, seeding a
      * divergence the checker must catch at that instruction's retire.
+     * With @p shadowOnly, only the engine-side shadow's first chime
+     * hash is corrupted: the retire compare passes, and the divergence
+     * must be caught by the per-chime compare of the engine's uops.
      */
     void
-    corruptRetireForTest(std::uint64_t seq, std::uint64_t mask)
+    corruptRetireForTest(std::uint64_t seq, std::uint64_t mask,
+                         bool shadowOnly = false)
     {
         corruptSeq = seq;
         corruptMask = mask;
+        corruptShadowOnly = shadowOnly;
     }
 
     /** Context provider queried once when building a divergence. */
@@ -244,6 +249,7 @@ class LockstepChecker
 
     std::uint64_t corruptSeq = ~0ull;
     std::uint64_t corruptMask = 0;
+    bool corruptShadowOnly = false;
 };
 
 } // namespace bvl

@@ -180,6 +180,48 @@ TEST(LockstepTest, SeededCorruptionCaughtAtFirstWrongRetire)
     }
 }
 
+TEST(LockstepTest, ShadowChimeCorruptionCaughtAtEngineUopRetire)
+{
+    // Corrupting only the engine-side shadow leaves every retire
+    // compare clean, so the divergence must come from the per-chime
+    // compare that the engine's uop retires drive. Successive dynamic
+    // instructions are seeded until one is a vector instruction with
+    // a destination (the others have no chime hash to compare).
+    for (Design design : {Design::d1b4VL, Design::d1bDV}) {
+        bool caught = false;
+        for (std::uint64_t seq = 0; seq < 64 && !caught; ++seq) {
+            SocParams sp;
+            sp.design = design;
+            sp.check.lockstep = true;
+            Soc soc(std::move(sp));
+            auto w = makeWorkload("vvadd", Scale::tiny);
+            ASSERT_TRUE(w);
+            w->init(soc.backing);
+            ASSERT_TRUE(soc.armLockstep(true));
+            soc.checker()->lockstep()->corruptRetireForTest(seq, 0x5a5aull,
+                                                            true);
+            bool done = false;
+            soc.big->runProgram(w->vectorProgram(), w->fullRangeArgs(),
+                                [&] { done = true; });
+            try {
+                soc.runUntil([&] { return done; });
+            } catch (const CheckError &e) {
+                caught = true;
+                ASSERT_TRUE(e.hasDivergence()) << designName(design);
+                const DivergenceRecord &d = e.divergence();
+                EXPECT_EQ(d.seq, seq) << designName(design);
+                EXPECT_GE(d.chime, 0) << designName(design);
+                EXPECT_EQ(d.field.rfind("vector chime hash (vseq ", 0), 0u)
+                    << designName(design) << ": " << d.field;
+                EXPECT_EQ(d.timedValue ^ d.refValue, 0x5a5aull)
+                    << designName(design);
+            }
+        }
+        EXPECT_TRUE(caught) << designName(design)
+                            << ": no vector chime divergence raised";
+    }
+}
+
 TEST(LockstepTest, ScalarStreamCorruptionCaughtToo)
 {
     SocParams sp;

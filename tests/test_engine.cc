@@ -337,6 +337,14 @@ struct TimingPin
     const char *counters;
 };
 
+// Printed by name: gtest's byte dump would put the addresses of the
+// strings (randomised per process) into the discovered ctest names.
+void
+PrintTo(const TimingPin &pin, std::ostream *os)
+{
+    *os << pin.workload << "/" << designName(pin.design);
+}
+
 const TimingPin timingPins[] = {
     {"vvadd", Design::d1b4VL, 1210,
          "little0.cycles=1098 little0.l1d.accesses=24 "
