@@ -23,7 +23,8 @@
 # scripts/check_bench.py --sampled), gate the kernel microbenchmarks
 # against the pinned baseline (scripts/check_bench.py), and run the
 # benchmark's self-test (perf/run.py --self-test: its timed cells must
-# match runWorkload exactly).
+# match runWorkload exactly), and gate the count of src/ lines tier-1
+# never runs (a Debug --coverage build read back with gcov).
 #
 # Suites are selected with ctest labels (see tests/CMakeLists.txt):
 # unit, checker, concurrency, trace, workloads.
@@ -36,11 +37,12 @@
 # workflow runs them, so local and hosted gates cannot drift apart:
 #
 #   normal determinism journal mobile trace sweep checkpoint chaos
-#   sampled microbench perf forensics asan ubsan tsan
+#   sampled microbench perf forensics coverage asan ubsan tsan
 #
 # With no leg named, every leg runs in that order. All but normal,
-# microbench and the sanitizer legs use the ./build tree as built by
-# the normal leg; journal and trace also read determinism's output.
+# microbench, coverage and the sanitizer legs use the ./build tree as
+# built by the normal leg; journal and trace also read determinism's
+# output.
 #
 # Usage: scripts/ci.sh [--jobs N] [leg...]
 set -euo pipefail
@@ -48,7 +50,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 all_legs=(normal determinism journal mobile trace sweep checkpoint chaos
-          sampled microbench perf forensics asan ubsan tsan)
+          sampled microbench perf forensics coverage asan ubsan tsan)
 usage="usage: scripts/ci.sh [--jobs N] [leg...]; legs: ${all_legs[*]}"
 
 jobs="${BVL_CI_JOBS:-$(nproc)}"
@@ -209,6 +211,50 @@ leg_forensics() {
         exit 1
     fi
     echo "forensics report written, reloaded, and plan minimized to $minimal injection(s)"
+}
+
+# Never-run lines of src/*.cc under tier-1 may not rise above this pin.
+# Lower it whenever a change deletes or tests unrun code. Lines that
+# only forked isolate workers run read as unrun (the workers leave
+# through _exit, which skips gcov's dump); the pin absorbs them.
+coverage_pin=576
+
+leg_coverage() {
+    echo "=== coverage (Debug --coverage, tier-1, never-run src/ lines) ==="
+    cmake -B build-cov -S . -DCMAKE_BUILD_TYPE=Debug \
+        -DCMAKE_CXX_FLAGS=--coverage >/dev/null
+    cmake --build build-cov -j "$jobs"
+    find build-cov -name '*.gcda' -delete
+    ctest --test-dir build-cov --output-on-failure -j "$jobs"
+    (cd build-cov/src/CMakeFiles/bvl.dir &&
+        find . -name '*.gcda' -print0 | sort -z |
+        xargs -0 gcov --json-format --stdout) > build-cov/gcov.jsonl
+    python3 - build-cov/gcov.jsonl "$PWD/src/" "$coverage_pin" <<'EOF'
+import collections, json, sys
+path, src, pin = sys.argv[1], sys.argv[2], int(sys.argv[3])
+# A line gcov lists more than once (one entry per template
+# instantiation or inlined copy) is run if any entry ran.
+ran = collections.defaultdict(dict)
+for doc in open(path):
+    for f in json.loads(doc)["files"]:
+        name = f["file"]
+        if not (name.startswith(src) and name.endswith(".cc")):
+            continue
+        seen = ran[name[len(src):]]
+        for ln in f["lines"]:
+            n = ln["line_number"]
+            seen[n] = seen.get(n, False) or ln["count"] > 0
+unrun = {f: sum(not r for r in ls.values()) for f, ls in ran.items()}
+total = sum(unrun.values())
+executable = sum(len(ls) for ls in ran.values())
+for f in sorted(unrun, key=lambda f: (-unrun[f], f)):
+    if unrun[f]:
+        print(f"{unrun[f]:6d}  src/{f}")
+print(f"never-run src/*.cc lines: {total} of {executable} "
+      f"({100.0 * total / max(executable, 1):.1f}%), pin {pin}")
+if total > pin:
+    sys.exit(f"FAIL: {total} never-run lines exceed the pin of {pin}")
+EOF
 }
 
 leg_asan() {

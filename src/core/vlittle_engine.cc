@@ -292,8 +292,7 @@ VlittleEngine::crack(VInstr &vi)
         break;
       }
 
-      case Op::vredsum: case Op::vredmax: case Op::vredmin:
-      case Op::vfredsum: case Op::vfredmax: case Op::vfredmin: {
+      case Op::vredsum: case Op::vredmax: case Op::vfredsum: {
         vi.isCross = true;
         for (unsigned c = 0; c < chimeCount; ++c)
             addBroadcast(UopKind::vxRead, c, -1, vregIdx(in.rs2),
@@ -319,11 +318,10 @@ VlittleEngine::crack(VInstr &vi)
         break;
 
       default: {
-        // Plain per-chime arithmetic / compare / mask / move ops.
+        // Plain per-chime arithmetic / compare / merge / move ops.
         int vs2 = in.vsrc == VSrc2::vv ? vregIdx(in.rs2) : -1;
-        // FMA-style ops accumulate into vd.
-        int vs3 = (in.op == Op::vfmacc || in.op == Op::vfnmsac)
-                      ? vregIdx(in.rd) : -1;
+        // vfmacc accumulates into vd.
+        int vs3 = in.op == Op::vfmacc ? vregIdx(in.rd) : -1;
         for (unsigned c = 0; c < chimeCount; ++c)
             addBroadcast(UopKind::arith, c, vregIdx(in.rd),
                          vregIdx(in.rs1), vs2, vs3, in.traits().fu);

@@ -49,8 +49,6 @@ fpBinOp(Op op, double a, double b)
       case Op::fsub: case Op::vfsub: return a - b;
       case Op::fmul: case Op::vfmul: return a * b;
       case Op::fdiv: case Op::vfdiv: return a / b;
-      case Op::fmin: case Op::vfmin: return std::fmin(a, b);
-      case Op::fmax: case Op::vfmax: return std::fmax(a, b);
       default: panic("fpBinOp: bad op %s", opName(op));
     }
 }
@@ -84,19 +82,13 @@ intBinOp(Op op, std::uint64_t a, std::uint64_t b)
     switch (op) {
       case Op::add: case Op::vadd: return a + b;
       case Op::sub: case Op::vsub: return a - b;
-      case Op::and_: case Op::vand: return a & b;
-      case Op::or_: case Op::vor: return a | b;
+      case Op::or_: return a | b;
       case Op::xor_: case Op::vxor: return a ^ b;
-      case Op::sll: case Op::vsll: return a << (b & 63);
-      case Op::srl: case Op::vsrl: return a >> (b & 63);
-      case Op::sra: case Op::vsra: return std::uint64_t(sa >> (b & 63));
-      case Op::slt: return sa < sb ? 1 : 0;
+      case Op::vsll: return a << (b & 63);
       case Op::sltu: return a < b ? 1 : 0;
       case Op::mul: case Op::vmul: return a * b;
-      case Op::mulh:
-        return std::uint64_t((__int128(sa) * __int128(sb)) >> 64);
-      case Op::div_: case Op::vdiv: return std::uint64_t(intDiv(sa, sb));
-      case Op::rem: case Op::vrem: return std::uint64_t(intRem(sa, sb));
+      case Op::div_: return std::uint64_t(intDiv(sa, sb));
+      case Op::rem: return std::uint64_t(intRem(sa, sb));
       case Op::min_: case Op::vmin: return sa < sb ? a : b;
       case Op::max_: case Op::vmax: return sa > sb ? a : b;
       default: panic("intBinOp: bad op %s", opName(op));
@@ -188,10 +180,9 @@ stepOne(ArchState &st, const Program &prog, BackingStore &mem)
         break;
 
       // ----- scalar integer --------------------------------------------
-      case Op::add: case Op::sub: case Op::and_: case Op::or_:
-      case Op::xor_: case Op::sll: case Op::srl: case Op::sra:
-      case Op::slt: case Op::sltu: case Op::mul: case Op::mulh:
-      case Op::div_: case Op::rem: case Op::min_: case Op::max_:
+      case Op::add: case Op::sub: case Op::or_: case Op::xor_:
+      case Op::sltu: case Op::mul: case Op::div_: case Op::rem:
+      case Op::min_: case Op::max_:
         st.setX(in.rd, intBinOp(in.op, st.getX(in.rs1), st.getX(in.rs2)));
         break;
 
@@ -201,17 +192,8 @@ stepOne(ArchState &st, const Program &prog, BackingStore &mem)
       case Op::andi:
         st.setX(in.rd, st.getX(in.rs1) & std::uint64_t(in.imm));
         break;
-      case Op::ori:
-        st.setX(in.rd, st.getX(in.rs1) | std::uint64_t(in.imm));
-        break;
-      case Op::xori:
-        st.setX(in.rd, st.getX(in.rs1) ^ std::uint64_t(in.imm));
-        break;
       case Op::slli:
         st.setX(in.rd, st.getX(in.rs1) << (in.imm & 63));
-        break;
-      case Op::srli:
-        st.setX(in.rd, st.getX(in.rs1) >> (in.imm & 63));
         break;
       case Op::srai:
         st.setX(in.rd, std::uint64_t(
@@ -223,15 +205,10 @@ stepOne(ArchState &st, const Program &prog, BackingStore &mem)
         break;
 
       // ----- scalar FP ---------------------------------------------------
-      case Op::fadd: case Op::fsub: case Op::fmul: case Op::fdiv:
-      case Op::fmin: case Op::fmax: {
+      case Op::fadd: case Op::fsub: case Op::fmul: case Op::fdiv: {
         double a = bitsToFp(st.getF(in.rs1), in.ew);
         double b = bitsToFp(st.getF(in.rs2), in.ew);
-        double r = fpBinOp(in.op == Op::fadd ? Op::fadd :
-                           in.op == Op::fsub ? Op::fsub :
-                           in.op == Op::fmul ? Op::fmul :
-                           in.op == Op::fdiv ? Op::fdiv :
-                           in.op == Op::fmin ? Op::fmin : Op::fmax, a, b);
+        double r = fpBinOp(in.op, a, b);
         if (in.ew == 4)
             r = static_cast<float>(r);
         st.setF(in.rd, fpToBits(r, in.ew));
@@ -245,11 +222,6 @@ stepOne(ArchState &st, const Program &prog, BackingStore &mem)
       case Op::fneg: {
         double a = bitsToFp(st.getF(in.rs1), in.ew);
         st.setF(in.rd, fpToBits(-a, in.ew));
-        break;
-      }
-      case Op::fabs_: {
-        double a = bitsToFp(st.getF(in.rs1), in.ew);
-        st.setF(in.rd, fpToBits(std::fabs(a), in.ew));
         break;
       }
       case Op::fmadd: {
@@ -270,26 +242,14 @@ stepOne(ArchState &st, const Program &prog, BackingStore &mem)
         st.setF(in.rd, fpToBits(
             double(static_cast<std::int64_t>(st.getX(in.rs1))), in.ew));
         break;
-      case Op::fcvt_x_f:
-        st.setX(in.rd, std::uint64_t(static_cast<std::int64_t>(
-            bitsToFp(st.getF(in.rs1), in.ew))));
-        break;
       case Op::fmv_f_x:
         st.setF(in.rd, st.getX(in.rs1));
         break;
       case Op::fmv_x_f:
         st.setX(in.rd, st.getF(in.rs1));
         break;
-      case Op::feq:
-        st.setX(in.rd, bitsToFp(st.getF(in.rs1), in.ew) ==
-                       bitsToFp(st.getF(in.rs2), in.ew) ? 1 : 0);
-        break;
       case Op::flt:
         st.setX(in.rd, bitsToFp(st.getF(in.rs1), in.ew) <
-                       bitsToFp(st.getF(in.rs2), in.ew) ? 1 : 0);
-        break;
-      case Op::fle:
-        st.setX(in.rd, bitsToFp(st.getF(in.rs1), in.ew) <=
                        bitsToFp(st.getF(in.rs2), in.ew) ? 1 : 0);
         break;
 
@@ -361,10 +321,8 @@ stepOne(ArchState &st, const Program &prog, BackingStore &mem)
       }
 
       // ----- vector integer arithmetic ------------------------------------
-      case Op::vadd: case Op::vsub: case Op::vmul: case Op::vdiv:
-      case Op::vrem: case Op::vmin: case Op::vmax: case Op::vand:
-      case Op::vor: case Op::vxor: case Op::vsll: case Op::vsrl:
-      case Op::vsra: {
+      case Op::vadd: case Op::vsub: case Op::vmul: case Op::vmin:
+      case Op::vmax: case Op::vxor: case Op::vsll: {
         bool vv = in.vsrc == VSrc2::vv;
         std::uint64_t sb = vv ? 0 : vecScalarSrc();
         withEw(st.sew, [&](auto ewc) {
@@ -419,8 +377,7 @@ stepOne(ArchState &st, const Program &prog, BackingStore &mem)
       }
 
       // ----- vector FP -----------------------------------------------------
-      case Op::vfadd: case Op::vfsub: case Op::vfmul: case Op::vfdiv:
-      case Op::vfmin: case Op::vfmax: {
+      case Op::vfadd: case Op::vfsub: case Op::vfmul: case Op::vfdiv: {
         bool vv = in.vsrc == VSrc2::vv;
         double sb = vv ? 0.0 : bitsToFp(vecScalarSrc(), st.sew);
         withEw(st.sew, [&](auto ewc) {
@@ -449,9 +406,8 @@ stepOne(ArchState &st, const Program &prog, BackingStore &mem)
         }
         break;
       }
-      case Op::vfmacc: case Op::vfnmsac: {
+      case Op::vfmacc: {
         bool vv = in.vsrc == VSrc2::vv;
-        bool macc = in.op == Op::vfmacc;
         double sb = vv ? 0.0 : bitsToFp(vecScalarSrc(), st.sew);
         withEw(st.sew, [&](auto ewc) {
             constexpr unsigned ew = decltype(ewc)::value;
@@ -462,7 +418,7 @@ stepOne(ArchState &st, const Program &prog, BackingStore &mem)
                 double b =
                     vv ? bitsToFp(st.vecGet(in.rs2, i, ew), ew) : sb;
                 double acc = bitsToFp(st.vecGet(in.rd, i, ew), ew);
-                double r = macc ? acc + a * b : acc - a * b;
+                double r = acc + a * b;
                 if (ew == 4)
                     r = static_cast<float>(r);
                 st.vecSet(in.rd, i, ew, fpToBits(r, ew));
@@ -472,8 +428,7 @@ stepOne(ArchState &st, const Program &prog, BackingStore &mem)
       }
 
       // ----- vector compares (results into mask layout of vd) -------------
-      case Op::vmseq: case Op::vmsne: case Op::vmslt: case Op::vmsle:
-      case Op::vmsgt: {
+      case Op::vmseq: case Op::vmsne: case Op::vmslt: case Op::vmsgt: {
         unsigned ew = st.sew;
         for (unsigned i = 0; i < st.vl; ++i) {
             if (!st.active(in, i))
@@ -484,13 +439,12 @@ stepOne(ArchState &st, const Program &prog, BackingStore &mem)
                 : sext(vecScalarSrc(), 8);
             bool r = in.op == Op::vmseq ? a == b :
                      in.op == Op::vmsne ? a != b :
-                     in.op == Op::vmslt ? a < b :
-                     in.op == Op::vmsle ? a <= b : a > b;
+                     in.op == Op::vmslt ? a < b : a > b;
             st.setMaskBit(in.rd, i, r);
         }
         break;
       }
-      case Op::vmflt: case Op::vmfle: case Op::vmfeq: {
+      case Op::vmflt: {
         unsigned ew = st.sew;
         for (unsigned i = 0; i < st.vl; ++i) {
             if (!st.active(in, i))
@@ -499,22 +453,7 @@ stepOne(ArchState &st, const Program &prog, BackingStore &mem)
             double b = in.vsrc == VSrc2::vv
                 ? bitsToFp(st.vecGet(in.rs2, i, ew), ew)
                 : bitsToFp(vecScalarSrc(), ew);
-            bool r = in.op == Op::vmflt ? a < b :
-                     in.op == Op::vmfle ? a <= b : a == b;
-            st.setMaskBit(in.rd, i, r);
-        }
-        break;
-      }
-
-      // ----- mask logical ---------------------------------------------------
-      case Op::vmand: case Op::vmor: case Op::vmxor: case Op::vmnot: {
-        for (unsigned i = 0; i < st.vl; ++i) {
-            bool a = st.maskBit(in.rs1, i);
-            bool b = in.rs2 != regIdInvalid && st.maskBit(in.rs2, i);
-            bool r = in.op == Op::vmand ? (a && b) :
-                     in.op == Op::vmor ? (a || b) :
-                     in.op == Op::vmxor ? (a != b) : !a;
-            st.setMaskBit(in.rd, i, r);
+            st.setMaskBit(in.rd, i, a < b);
         }
         break;
       }
@@ -672,36 +611,28 @@ stepOne(ArchState &st, const Program &prog, BackingStore &mem)
                 st.vecSet(in.rd, i, ew, result[i]);
         break;
       }
-      case Op::vredsum: case Op::vredmax: case Op::vredmin: {
+      case Op::vredsum: case Op::vredmax: {
         unsigned ew = st.sew;
+        bool sum = in.op == Op::vredsum;
         std::int64_t acc = in.rs1 != regIdInvalid
-            ? st.vecGetS(in.rs1, 0, ew)
-            : (in.op == Op::vredsum ? 0 :
-               in.op == Op::vredmax ? INT64_MIN : INT64_MAX);
+            ? st.vecGetS(in.rs1, 0, ew) : (sum ? 0 : INT64_MIN);
         for (unsigned i = 0; i < st.vl; ++i) {
             if (!st.active(in, i))
                 continue;
             std::int64_t e = st.vecGetS(in.rs2, i, ew);
-            acc = in.op == Op::vredsum ? acc + e :
-                  in.op == Op::vredmax ? std::max(acc, e)
-                                       : std::min(acc, e);
+            acc = sum ? acc + e : std::max(acc, e);
         }
         st.vecSet(in.rd, 0, ew, truncTo(std::uint64_t(acc), ew));
         break;
       }
-      case Op::vfredsum: case Op::vfredmax: case Op::vfredmin: {
+      case Op::vfredsum: {
         unsigned ew = st.sew;
         double acc = in.rs1 != regIdInvalid
-            ? bitsToFp(st.vecGet(in.rs1, 0, ew), ew)
-            : (in.op == Op::vfredsum ? 0.0 :
-               in.op == Op::vfredmax ? -INFINITY : INFINITY);
+            ? bitsToFp(st.vecGet(in.rs1, 0, ew), ew) : 0.0;
         for (unsigned i = 0; i < st.vl; ++i) {
             if (!st.active(in, i))
                 continue;
-            double e = bitsToFp(st.vecGet(in.rs2, i, ew), ew);
-            acc = in.op == Op::vfredsum ? acc + e :
-                  in.op == Op::vfredmax ? std::fmax(acc, e)
-                                        : std::fmin(acc, e);
+            acc += bitsToFp(st.vecGet(in.rs2, i, ew), ew);
             if (ew == 4)
                 acc = static_cast<float>(acc);
         }

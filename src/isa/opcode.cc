@@ -42,24 +42,15 @@ const OpTraits traitsTable[] = {
     // scalar integer
     scalar("add", FuClass::intAlu),
     scalar("sub", FuClass::intAlu),
-    scalar("and", FuClass::intAlu),
     scalar("or", FuClass::intAlu),
     scalar("xor", FuClass::intAlu),
-    scalar("sll", FuClass::intAlu),
-    scalar("srl", FuClass::intAlu),
-    scalar("sra", FuClass::intAlu),
-    scalar("slt", FuClass::intAlu),
     scalar("sltu", FuClass::intAlu),
     scalar("addi", FuClass::intAlu),
     scalar("andi", FuClass::intAlu),
-    scalar("ori", FuClass::intAlu),
-    scalar("xori", FuClass::intAlu),
     scalar("slli", FuClass::intAlu),
-    scalar("srli", FuClass::intAlu),
     scalar("srai", FuClass::intAlu),
     scalar("slti", FuClass::intAlu),
     scalar("mul", FuClass::intMul),
-    scalar("mulh", FuClass::intMul),
     scalar("div", FuClass::intDiv),
     scalar("rem", FuClass::intDiv),
     scalar("min", FuClass::intAlu),
@@ -70,18 +61,12 @@ const OpTraits traitsTable[] = {
     scalar("fmul", FuClass::fpMul, true),
     scalar("fdiv", FuClass::fpDiv, true),
     scalar("fsqrt", FuClass::fpDiv, true),
-    scalar("fmin", FuClass::fpAdd, true),
-    scalar("fmax", FuClass::fpAdd, true),
     scalar("fmadd", FuClass::fpMul, true),
     scalar("fneg", FuClass::fpAdd, true),
-    scalar("fabs", FuClass::fpAdd, true),
     scalar("fcvt.f.x", FuClass::fpAdd, true),
-    scalar("fcvt.x.f", FuClass::fpAdd, true),
     scalar("fmv.f.x", FuClass::intAlu, true),
     scalar("fmv.x.f", FuClass::intAlu, true),
-    scalar("feq", FuClass::fpAdd, true),
     scalar("flt", FuClass::fpAdd, true),
-    scalar("fle", FuClass::fpAdd, true),
     // scalar memory
     scalar("load", FuClass::mem),
     scalar("store", FuClass::mem),
@@ -100,16 +85,10 @@ const OpTraits traitsTable[] = {
     vecArith("vadd", FuClass::intAlu),
     vecArith("vsub", FuClass::intAlu),
     vecArith("vmul", FuClass::intMul),
-    vecArith("vdiv", FuClass::intDiv),
-    vecArith("vrem", FuClass::intDiv),
     vecArith("vmin", FuClass::intAlu),
     vecArith("vmax", FuClass::intAlu),
-    vecArith("vand", FuClass::intAlu),
-    vecArith("vor", FuClass::intAlu),
     vecArith("vxor", FuClass::intAlu),
     vecArith("vsll", FuClass::intAlu),
-    vecArith("vsrl", FuClass::intAlu),
-    vecArith("vsra", FuClass::intAlu),
     // vector width conversion
     vecArith("vzext2", FuClass::intAlu),
     vecArith("vsext2", FuClass::intAlu),
@@ -120,24 +99,14 @@ const OpTraits traitsTable[] = {
     vecArith("vfmul", FuClass::fpMul, true),
     vecArith("vfdiv", FuClass::fpDiv, true),
     vecArith("vfsqrt", FuClass::fpDiv, true),
-    vecArith("vfmin", FuClass::fpAdd, true),
-    vecArith("vfmax", FuClass::fpAdd, true),
     vecArith("vfmacc", FuClass::fpMul, true),
-    vecArith("vfnmsac", FuClass::fpMul, true),
     // vector compares
     vecArith("vmseq", FuClass::intAlu),
     vecArith("vmsne", FuClass::intAlu),
     vecArith("vmslt", FuClass::intAlu),
-    vecArith("vmsle", FuClass::intAlu),
     vecArith("vmsgt", FuClass::intAlu),
     vecArith("vmflt", FuClass::fpAdd, true),
-    vecArith("vmfle", FuClass::fpAdd, true),
-    vecArith("vmfeq", FuClass::fpAdd, true),
-    // vector mask / move
-    vecArith("vmand", FuClass::intAlu),
-    vecArith("vmor", FuClass::intAlu),
-    vecArith("vmxor", FuClass::intAlu),
-    vecArith("vmnot", FuClass::intAlu),
+    // vector merge / move
     vecArith("vmerge", FuClass::intAlu),
     vecArith("vmv", FuClass::intAlu),
     vecArith("vid", FuClass::intAlu),
@@ -160,10 +129,7 @@ const OpTraits traitsTable[] = {
     vecCross("vslidedown", FuClass::intAlu, false),
     vecCross("vredsum", FuClass::intAlu, false),
     vecCross("vredmax", FuClass::intAlu, false),
-    vecCross("vredmin", FuClass::intAlu, false),
     vecCross("vfredsum", FuClass::fpAdd, false, true),
-    vecCross("vfredmax", FuClass::fpAdd, false, true),
-    vecCross("vfredmin", FuClass::fpAdd, false, true),
     vecCross("vpopc", FuClass::intAlu, true),
     vecCross("vfirst", FuClass::intAlu, true),
     // memory ordering

@@ -111,12 +111,8 @@ class Asm
 
     Asm &add(RegId rd, RegId a, RegId b) { return rrr(Op::add, rd, a, b); }
     Asm &sub(RegId rd, RegId a, RegId b) { return rrr(Op::sub, rd, a, b); }
-    Asm &and_(RegId rd, RegId a, RegId b) { return rrr(Op::and_, rd, a, b); }
     Asm &or_(RegId rd, RegId a, RegId b) { return rrr(Op::or_, rd, a, b); }
     Asm &xor_(RegId rd, RegId a, RegId b) { return rrr(Op::xor_, rd, a, b); }
-    Asm &sll(RegId rd, RegId a, RegId b) { return rrr(Op::sll, rd, a, b); }
-    Asm &srl(RegId rd, RegId a, RegId b) { return rrr(Op::srl, rd, a, b); }
-    Asm &slt(RegId rd, RegId a, RegId b) { return rrr(Op::slt, rd, a, b); }
     Asm &sltu(RegId rd, RegId a, RegId b) { return rrr(Op::sltu, rd, a, b); }
     Asm &mul(RegId rd, RegId a, RegId b) { return rrr(Op::mul, rd, a, b); }
     Asm &div_(RegId rd, RegId a, RegId b) { return rrr(Op::div_, rd, a, b); }
@@ -128,14 +124,8 @@ class Asm
     { return rri(Op::addi, rd, a, imm); }
     Asm &andi(RegId rd, RegId a, std::int64_t imm)
     { return rri(Op::andi, rd, a, imm); }
-    Asm &ori(RegId rd, RegId a, std::int64_t imm)
-    { return rri(Op::ori, rd, a, imm); }
-    Asm &xori(RegId rd, RegId a, std::int64_t imm)
-    { return rri(Op::xori, rd, a, imm); }
     Asm &slli(RegId rd, RegId a, std::int64_t imm)
     { return rri(Op::slli, rd, a, imm); }
-    Asm &srli(RegId rd, RegId a, std::int64_t imm)
-    { return rri(Op::srli, rd, a, imm); }
     Asm &srai(RegId rd, RegId a, std::int64_t imm)
     { return rri(Op::srai, rd, a, imm); }
     Asm &slti(RegId rd, RegId a, std::int64_t imm)
@@ -151,16 +141,10 @@ class Asm
     { return frrr(Op::fmul, rd, a, b, w); }
     Asm &fdiv(RegId rd, RegId a, RegId b, unsigned w = 4)
     { return frrr(Op::fdiv, rd, a, b, w); }
-    Asm &fmin(RegId rd, RegId a, RegId b, unsigned w = 4)
-    { return frrr(Op::fmin, rd, a, b, w); }
-    Asm &fmax(RegId rd, RegId a, RegId b, unsigned w = 4)
-    { return frrr(Op::fmax, rd, a, b, w); }
     Asm &fsqrt(RegId rd, RegId a, unsigned w = 4)
     { return frrr(Op::fsqrt, rd, a, regIdInvalid, w); }
     Asm &fneg(RegId rd, RegId a, unsigned w = 4)
     { return frrr(Op::fneg, rd, a, regIdInvalid, w); }
-    Asm &fabs_(RegId rd, RegId a, unsigned w = 4)
-    { return frrr(Op::fabs_, rd, a, regIdInvalid, w); }
 
     /** rd = a * b + c */
     Asm &
@@ -178,18 +162,12 @@ class Asm
 
     Asm &fcvt_f_x(RegId rd, RegId a, unsigned w = 4)
     { return frrr(Op::fcvt_f_x, rd, a, regIdInvalid, w); }
-    Asm &fcvt_x_f(RegId rd, RegId a, unsigned w = 4)
-    { return frrr(Op::fcvt_x_f, rd, a, regIdInvalid, w); }
     Asm &fmv_f_x(RegId rd, RegId a)
     { return frrr(Op::fmv_f_x, rd, a, regIdInvalid, 8); }
     Asm &fmv_x_f(RegId rd, RegId a)
     { return frrr(Op::fmv_x_f, rd, a, regIdInvalid, 8); }
-    Asm &feq(RegId rd, RegId a, RegId b, unsigned w = 4)
-    { return frrr(Op::feq, rd, a, b, w); }
     Asm &flt(RegId rd, RegId a, RegId b, unsigned w = 4)
     { return frrr(Op::flt, rd, a, b, w); }
-    Asm &fle(RegId rd, RegId a, RegId b, unsigned w = 4)
-    { return frrr(Op::fle, rd, a, b, w); }
 
     // --- scalar memory ----------------------------------------------
 

@@ -23,8 +23,8 @@ CheckContext::armLockstep(const void *tag, std::string streamName,
 {
     if (!opts.lockstep)
         return false;
-    bvl_assert(!checker, "lockstep already armed for stream '%s'",
-               checker ? checker->stream().c_str() : "");
+    bvl_assert(!checker, "lockstep already armed; cannot arm stream '%s'",
+               streamName.c_str());
     checker = std::make_unique<LockstepChecker>(
         std::move(streamName), vlenBits, chimes, snapshot,
         opts.retireContext);

@@ -188,7 +188,6 @@ class LockstepChecker
 
     std::uint64_t retires() const { return numRetires; }
     std::uint64_t uopChecks() const { return numUopChecks; }
-    const std::string &stream() const { return streamName; }
 
   private:
     /** Shared capture: hash state + trace into a comparable record. */

@@ -49,9 +49,8 @@ designName(Design d)
     return designNames.name(d);
 }
 
-/** Does the design include an engine, and which lanes does it use? */
+/** Does the design include a vector engine? */
 bool designHasVector(Design d);
-bool designUsesLittles(Design d);
 
 struct SocParams
 {

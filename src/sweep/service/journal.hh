@@ -12,6 +12,11 @@
  * (0.0 for cache/journal replays); parsers must tolerate its absence
  * — rows written before it existed simply lack the field.
  *
+ * Rows are in completion order, not submission order: at BVL_JOBS>1
+ * jobs finish in any order, so two journals of the same sweep can
+ * differ line for line. A diff of two journals must match rows by
+ * "hash", never by line number.
+ *
  * Every append is written with a single write(2) and fsync'd before
  * the job's future resolves, so after a kill -9 at any point the
  * journal holds every job whose result was ever observable. On open,

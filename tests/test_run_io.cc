@@ -17,6 +17,8 @@
 #include <fstream>
 #include <string>
 
+#include <unistd.h>
+
 #include "sim/check/forensics.hh"
 #include "soc/run_io.hh"
 #include "sweep/service/job_hash.hh"
@@ -222,15 +224,26 @@ TEST(RunIoFormatTest, JobHashesArePinned)
 
 // --- the reader rejects malformed members by name -------------------------
 
-/** Write @p text as a bare recipe and load it through loadReplayJob. */
+/**
+ * Write @p text as a bare recipe and load it through loadReplayJob. The
+ * file is named after the running test and the process, so tests run
+ * as concurrent processes never share it, and it is removed even when
+ * loading throws.
+ */
 SweepJob
 loadRecipe(const std::string &text)
 {
-    std::string path = ::testing::TempDir() + "bvl_run_io_recipe.json";
+    std::string path =
+        ::testing::TempDir() + "bvl_run_io_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        "_" + std::to_string(::getpid()) + ".json";
     std::ofstream(path) << text;
-    SweepJob job = loadReplayJob(path);
-    std::remove(path.c_str());
-    return job;
+    struct Remove
+    {
+        const std::string &path;
+        ~Remove() { std::remove(path.c_str()); }
+    } remove{path};
+    return loadReplayJob(path);
 }
 
 /** The SimFatalError message loading @p text raises; "" if none. */
