@@ -8,10 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <sstream>
+
 #include "cpu/big_core.hh"
 #include "cpu/little_core.hh"
 #include "mem/mem_system.hh"
 #include "sim/clock_domain.hh"
+#include "soc/run_driver.hh"
 
 namespace bvl
 {
@@ -267,6 +271,131 @@ TEST(CoreTest, ColdCacheSlowerThanWarm)
     EXPECT_EQ(h.little.archState().getX(xreg(5)),
               static_cast<std::uint64_t>(n));
 }
+
+// Timing pins of the scalar cores: simulated ns plus every non-zero
+// big-core, little-core and L2 counter (L1D/L1I counters are named
+// under their core) on tiny cells. The ROB wraps many times in each
+// cell, so the age-ordered issue scan crosses the end of the ring. A
+// change to how the cores are simulated must leave every value
+// unchanged; a deliberate timing change re-pins them.
+struct CorePin
+{
+    const char *workload;
+    Design design;
+    double ns;
+    /** "name=value" tokens; counters absent here must read 0. */
+    const char *counters;
+};
+
+const CorePin corePins[] = {
+    {"vvadd", Design::d1b, 3884,
+         "big.cycles=3883 big.fetchLineReqs=1 big.fetchPrefetches=4 "
+         "big.fetched=4108 big.l1d.accesses=1536 big.l1d.fills=96 "
+         "big.l1d.hits=224 big.l1d.misses=1312 big.l1i.accesses=5 "
+         "big.l1i.fills=5 big.l1i.misses=5 big.mispredicts=14 "
+         "big.retired=4108 l2.accesses=101 l2.fills=101 l2.misses=101 "},
+    {"mmult", Design::d1b, 18381,
+         "big.cycles=18380 big.fetchLineReqs=1 big.fetchPrefetches=4 "
+         "big.fetched=55862 big.l1d.accesses=8448 big.l1d.fills=48 "
+         "big.l1d.hits=8178 big.l1d.misses=270 big.l1i.accesses=5 "
+         "big.l1i.fills=5 big.l1i.misses=5 big.mispredicts=305 "
+         "big.retired=55862 l2.accesses=53 l2.fills=53 l2.misses=53 "},
+    {"kmeans", Design::d1b, 80357,
+         "big.cycles=80356 big.fetchLineReqs=1 big.fetchPrefetches=5 "
+         "big.fetched=250063 big.l1d.accesses=33024 big.l1d.fills=148 "
+         "big.l1d.hits=32705 big.l1d.misses=319 big.l1i.accesses=6 "
+         "big.l1i.fills=6 big.l1i.misses=6 big.mispredicts=750 "
+         "big.retired=250063 l2.accesses=154 l2.fills=154 l2.misses=154 "},
+    {"bfs", Design::d1b4L, 9433,
+         "big.cycles=6243 big.fetchLineReqs=5 big.fetchPrefetches=20 "
+         "big.fetched=3926 big.l1d.accesses=986 big.l1d.fills=58 "
+         "big.l1d.hits=796 big.l1d.invalidations=9 big.l1d.misses=190 "
+         "big.l1i.accesses=25 big.l1i.fills=5 big.l1i.hits=20 "
+         "big.l1i.misses=5 big.mispredicts=315 big.retired=3926 "
+         "l2.accesses=352 l2.dir.invalidates=9 l2.fills=118 l2.hits=226 "
+         "l2.misses=126 little0.cycles=4156 little0.fetchLineReqs=4 "
+         "little0.fetchPrefetches=16 little0.fetched=1666 "
+         "little0.l1d.accesses=420 little0.l1d.evictions=4 "
+         "little0.l1d.fills=47 little0.l1d.hits=368 "
+         "little0.l1d.invalidations=8 little0.l1d.misses=52 "
+         "little0.l1d.writebacks=1 little0.l1i.accesses=20 "
+         "little0.l1i.fills=5 little0.l1i.hits=15 little0.l1i.misses=5 "
+         "little0.retired=1666 little0.stall.busy=1666 "
+         "little0.stall.misc=29 little0.stall.raw_mem=2461 "
+         "little1.cycles=5941 little1.fetchLineReqs=7 "
+         "little1.fetchPrefetches=28 little1.fetched=2333 "
+         "little1.l1d.accesses=583 little1.l1d.evictions=17 "
+         "little1.l1d.fills=74 little1.l1d.hits=499 "
+         "little1.l1d.invalidations=7 little1.l1d.misses=84 "
+         "little1.l1d.writebacks=2 little1.l1i.accesses=35 "
+         "little1.l1i.fills=5 little1.l1i.hits=30 little1.l1i.misses=5 "
+         "little1.retired=2333 little1.stall.busy=2333 "
+         "little1.stall.misc=36 little1.stall.raw_mem=3572 "
+         "little2.cycles=5579 little2.fetchLineReqs=8 "
+         "little2.fetchPrefetches=32 little2.fetched=2126 "
+         "little2.l1d.accesses=530 little2.l1d.evictions=18 "
+         "little2.l1d.fills=72 little2.l1d.hits=442 "
+         "little2.l1d.invalidations=5 little2.l1d.misses=88 "
+         "little2.l1d.writebacks=3 little2.l1i.accesses=40 "
+         "little2.l1i.fills=5 little2.l1i.hits=35 little2.l1i.misses=5 "
+         "little2.retired=2126 little2.stall.busy=2126 "
+         "little2.stall.misc=39 little2.stall.raw_mem=3414 "
+         "little3.cycles=5872 little3.fetchLineReqs=8 "
+         "little3.fetchPrefetches=32 little3.fetched=2055 "
+         "little3.l1d.accesses=515 little3.l1d.evictions=17 "
+         "little3.l1d.fills=67 little3.l1d.hits=437 "
+         "little3.l1d.invalidations=6 little3.l1d.misses=78 "
+         "little3.l1d.writebacks=3 little3.l1i.accesses=40 "
+         "little3.l1i.fills=5 little3.l1i.hits=35 little3.l1i.misses=5 "
+         "little3.retired=2055 little3.stall.busy=2055 "
+         "little3.stall.misc=40 little3.stall.raw_mem=3777 "},
+    {"saxpy", Design::d1bIV, 4199,
+         "big.cycles=4197 big.fetchLineReqs=1 big.fetchPrefetches=4 "
+         "big.fetched=1415 big.l1d.accesses=384 big.l1d.fills=64 "
+         "big.l1d.hits=288 big.l1d.misses=96 big.l1i.accesses=5 "
+         "big.l1i.fills=5 big.l1i.misses=5 big.mispredicts=14 "
+         "big.retired=1415 big.vecDispatched=640 l2.accesses=69 "
+         "l2.fills=69 l2.misses=69 "},
+};
+
+class BigCoreTimingPinTest : public ::testing::TestWithParam<CorePin>
+{};
+
+TEST_P(BigCoreTimingPinTest, CountersMatchPins)
+{
+    const CorePin &pin = GetParam();
+    RunResult r = runWorkload(pin.design, pin.workload, Scale::tiny);
+    ASSERT_EQ(r.status, RunStatus::ok) << r.message;
+    EXPECT_EQ(r.ns, pin.ns);
+
+    std::map<std::string, std::uint64_t> expected, actual;
+    std::istringstream toks(pin.counters);
+    for (std::string tok; toks >> tok;) {
+        auto eq = tok.find('=');
+        expected[tok.substr(0, eq)] = std::stoull(tok.substr(eq + 1));
+    }
+    for (const auto &[name, value] : r.stats) {
+        if (value && (name.rfind("big.", 0) == 0 ||
+                      name.rfind("little", 0) == 0 ||
+                      name.rfind("l2.", 0) == 0))
+            actual[name] = value;
+    }
+    for (const auto &[name, value] : expected)
+        EXPECT_EQ(actual.count(name) ? actual[name] : 0, value) << name;
+    for (const auto &[name, value] : actual)
+        EXPECT_TRUE(expected.count(name)) << name << "=" << value;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TinyCells, BigCoreTimingPinTest, ::testing::ValuesIn(corePins),
+    [](const ::testing::TestParamInfo<CorePin> &info) {
+        std::string name = std::string(info.param.workload) + "_" +
+                           designName(info.param.design);
+        for (auto &c : name)
+            if (c == '-')
+                c = '_';
+        return name;
+    });
 
 } // namespace
 } // namespace bvl
