@@ -42,7 +42,7 @@ BigCore::BigCore(ClockDomain &cd, StatGroup &sg, MemSystem &ms,
       sMispredicts(sg.handle(prefix + "mispredicts")),
       sVecDispatched(sg.handle(prefix + "vecDispatched")),
       arch(vlen_bits), bpred(params.bpredIndexBits),
-      fetchBuf(ms, ms.bigCoreId(), sg, prefix)
+      fetchBuf(ms, ms.bigCoreId(), sg, prefix), rob(params.robEntries)
 {
     lastWriter.fill(nullptr);
 }
@@ -64,7 +64,8 @@ BigCore::beginWindow(ProgramPtr program, std::uint64_t maxFetch,
     fetchBuf.reset();
     fetchStallUntil = 0;
     blockingBranch = nullptr;
-    rob.clear();
+    robHead = 0;
+    robCount = 0;
     lastWriter.fill(nullptr);
     lastStoreToLine.clear();
     readyQueue.clear();
@@ -112,7 +113,7 @@ BigCore::fetchStage()
     auto &eq = clock().eventQueue();
     for (unsigned n = 0; n < p.fetchWidth; ++n) {
         if (haltSeen || fetchLimitHit() || blockingBranch ||
-            fetchStallUntil > eq.now() || rob.size() >= p.robEntries) {
+            fetchStallUntil > eq.now() || robCount >= p.robEntries) {
             return;
         }
         if (arch.pc >= prog->size())
@@ -132,12 +133,21 @@ BigCore::fetchStage()
         if (check)
             check->onFetchExecuted(this, arch, tr, backing, eq.now());
 
-        auto owned = std::make_unique<RobInst>();
-        RobInst *inst = owned.get();
+        // Reuse the tail slot. Clearing its consumer list keeps the
+        // capacity, so steady-state fetch allocates nothing here.
+        RobInst *inst = &robAt(robCount);
         inst->seq = nextSeq++;
-        if (trace)
-            inst->fetchTick = eq.now();
         inst->trace = std::move(tr);
+        inst->pendingSrcs = 0;
+        inst->inReadyQueue = false;
+        inst->issued = false;
+        inst->complete = false;
+        inst->vecDispatched = false;
+        inst->predictedWrong = false;
+        inst->consumers.clear();
+        inst->fetchTick = trace ? eq.now() : 0;
+        inst->issueTick = 0;
+        inst->completeTick = 0;
         const Instr &in = *inst->trace.inst;
 
         // Register (scalar) source dependences.
@@ -208,7 +218,7 @@ BigCore::fetchStage()
             inst->inReadyQueue = true;
         }
 
-        rob.push_back(std::move(owned));
+        ++robCount;
     }
 }
 
@@ -278,7 +288,6 @@ BigCore::issueStage()
             mem.accessData(mem.bigCoreId(), inst->trace.addr, false,
                            [this, inst] {
                 --loadsInFlight;
-                inst->producerKind = ProducerKind::memory;
                 completeInst(inst);
             });
         } else if (in.op == Op::store) {
@@ -340,7 +349,7 @@ BigCore::vecDispatchStage()
             return;
         bool needHead = vengine->dispatchAtHead() ||
                         in.op == Op::vmfence;
-        if (needHead && (rob.empty() || rob.front().get() != inst))
+        if (needHead && (robCount == 0 || &robAt(0) != inst))
             return;
         if (in.op == Op::vmfence &&
             (loadsInFlight != 0 || storesInFlight != 0)) {
@@ -356,8 +365,7 @@ BigCore::vecDispatchStage()
             Json args = Json::object();
             args.set("seq", inst->seq);
             args.set("op", opName(in.op));
-            args.set("robHead",
-                     !rob.empty() && rob.front().get() == inst);
+            args.set("robHead", robCount != 0 && &robAt(0) == inst);
             trace->instant(TraceCat::big, traceTid, "vecDispatch",
                            clock().eventQueue().now(), std::move(args));
         }
@@ -383,8 +391,8 @@ BigCore::vecDispatchStage()
 void
 BigCore::commitStage()
 {
-    for (unsigned n = 0; n < p.commitWidth && !rob.empty(); ++n) {
-        RobInst *head = rob.front().get();
+    for (unsigned n = 0; n < p.commitWidth && robCount != 0; ++n) {
+        RobInst *head = &robAt(0);
         const Instr &in = *head->trace.inst;
 
         if (in.isVector()) {
@@ -424,7 +432,8 @@ BigCore::commitStage()
             trace->asyncEnd(TraceCat::big, traceTid, opName(in.op),
                             id, now);
         }
-        rob.pop_front();
+        robHead = (robHead + 1) % p.robEntries;
+        --robCount;
         ++numRetired;
         sRetired++;
         if (check)
@@ -444,9 +453,9 @@ void
 BigCore::registerInvariants(InvariantRegistry &reg)
 {
     reg.add("big.rob.bound", [this]() -> std::string {
-        if (rob.size() <= p.robEntries)
+        if (robCount <= p.robEntries)
             return "";
-        return "ROB holds " + std::to_string(rob.size()) +
+        return "ROB holds " + std::to_string(robCount) +
                " entries, capacity " + std::to_string(p.robEntries);
     });
     reg.add("big.lsq.bound", [this]() -> std::string {
@@ -463,8 +472,8 @@ BigCore::registerInvariants(InvariantRegistry &reg)
     reg.add("big.vec.dispatchOrder", [this]() -> std::string {
         bool headDispatch = vengine && vengine->dispatchAtHead();
         bool sawUndispatched = false;
-        for (std::size_t i = 0; i < rob.size(); ++i) {
-            const RobInst &inst = *rob[i];
+        for (unsigned i = 0; i < robCount; ++i) {
+            const RobInst &inst = robAt(i);
             if (!inst.trace.inst || !inst.trace.inst->isVector())
                 continue;
             if (!inst.vecDispatched) {
@@ -496,15 +505,15 @@ BigCore::progressDetail() const
 {
     if (!running)
         return "";
-    std::string out = "rob " + std::to_string(rob.size()) + "/" +
+    std::string out = "rob " + std::to_string(robCount) + "/" +
                       std::to_string(p.robEntries) + " ready " +
                       std::to_string(readyQueue.size()) + " vecQ " +
                       std::to_string(vecQueue.size()) + " vecOut " +
                       std::to_string(vecOutstanding) + " ld " +
                       std::to_string(loadsInFlight) + " st " +
                       std::to_string(storesInFlight);
-    if (!rob.empty()) {
-        const RobInst &head = *rob.front();
+    if (robCount != 0) {
+        const RobInst &head = robAt(0);
         out += " | head v" + std::to_string(head.seq) + " " +
                opName(head.trace.inst->op) +
                (head.complete ? " complete" : " pending") +
@@ -520,7 +529,7 @@ BigCore::progressDetail() const
 void
 BigCore::maybeFinish()
 {
-    if (!running || !(haltSeen || fetchLimitHit()) || !rob.empty())
+    if (!running || !(haltSeen || fetchLimitHit()) || robCount != 0)
         return;
     if (loadsInFlight != 0 || storesInFlight != 0 || vecOutstanding != 0)
         return;

@@ -145,11 +145,7 @@ class BigCore : public Clocked
         bool complete = false;
         bool vecDispatched = false;
         bool predictedWrong = false;
-        ProducerKind producerKind = ProducerKind::shortOp;
         std::vector<RobInst *> consumers;
-        /** Youngest older store to the same line (load ordering). */
-        RobInst *depStore = nullptr;
-        bool depStoreDone = true;
         /** Pipeline-stage timestamps, recorded only while tracing. */
         Tick fetchTick = 0;
         Tick issueTick = 0;
@@ -172,6 +168,11 @@ class BigCore : public Clocked
     bool fuAvailable(FuClass fu, Tick now);
     void consumeFu(FuClass fu, Tick now);
     void maybeFinish();
+    /** The @p i-th oldest in-flight instruction. */
+    RobInst &robAt(unsigned i)
+    { return rob[(robHead + i) % p.robEntries]; }
+    const RobInst &robAt(unsigned i) const
+    { return rob[(robHead + i) % p.robEntries]; }
 
     StatGroup &stats;
     MemSystem &mem;
@@ -204,8 +205,13 @@ class BigCore : public Clocked
     Tick fetchStallUntil = 0;
     RobInst *blockingBranch = nullptr;  ///< unresolved mispredict
 
-    // ROB / rename
-    std::deque<std::unique_ptr<RobInst>> rob;
+    // ROB / rename. The ROB is a ring of p.robEntries slots, oldest
+    // at robHead; a slot's address is stable while its instruction is
+    // in flight, and a retired slot is reused (consumers keep their
+    // capacity) so steady state allocates nothing.
+    std::vector<RobInst> rob;
+    unsigned robHead = 0;
+    unsigned robCount = 0;
     std::array<RobInst *, 64> lastWriter{};
     std::unordered_map<Addr, RobInst *> lastStoreToLine;
     std::map<SeqNum, RobInst *> readyQueue;
