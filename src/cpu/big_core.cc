@@ -1,6 +1,7 @@
 #include "cpu/big_core.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "sim/check/check_context.hh"
 #include "sim/trace/tracer.hh"
@@ -42,7 +43,8 @@ BigCore::BigCore(ClockDomain &cd, StatGroup &sg, MemSystem &ms,
       sMispredicts(sg.handle(prefix + "mispredicts")),
       sVecDispatched(sg.handle(prefix + "vecDispatched")),
       arch(vlen_bits), bpred(params.bpredIndexBits),
-      fetchBuf(ms, ms.bigCoreId(), sg, prefix), rob(params.robEntries)
+      fetchBuf(ms, ms.bigCoreId(), sg, prefix), rob(params.robEntries),
+      readyBits((params.robEntries + 63) / 64)
 {
     lastWriter.fill(nullptr);
 }
@@ -68,7 +70,8 @@ BigCore::beginWindow(ProgramPtr program, std::uint64_t maxFetch,
     robCount = 0;
     lastWriter.fill(nullptr);
     lastStoreToLine.clear();
-    readyQueue.clear();
+    std::fill(readyBits.begin(), readyBits.end(), 0);
+    readyCount = 0;
     fuInUseThisCycle.fill(0);
     unpipedBusyUntil.fill(0);
     loadsInFlight = 0;
@@ -139,7 +142,6 @@ BigCore::fetchStage()
         inst->seq = nextSeq++;
         inst->trace = std::move(tr);
         inst->pendingSrcs = 0;
-        inst->inReadyQueue = false;
         inst->issued = false;
         inst->complete = false;
         inst->vecDispatched = false;
@@ -214,8 +216,7 @@ BigCore::fetchStage()
             if (trace)
                 inst->issueTick = inst->completeTick = eq.now();
         } else if (!in.isVector() && inst->pendingSrcs == 0) {
-            readyQueue.emplace(inst->seq, inst);
-            inst->inReadyQueue = true;
+            markReady(inst);
         }
 
         ++robCount;
@@ -254,33 +255,41 @@ BigCore::issueStage()
         fuCycleTick = now;
     }
 
+    if (readyCount == 0)
+        return;
+    // Oldest first: robHead to the end of the ring, then the wrapped
+    // part. nextReady() re-reads the bitmap after every issue, so an
+    // instruction an issue makes ready is seen if it is younger.
     unsigned issued = 0;
-    auto it = readyQueue.begin();
-    while (it != readyQueue.end() && issued < p.issueWidth) {
-        RobInst *inst = it->second;
+    unsigned end = p.robEntries;
+    for (unsigned slot = nextReady(robHead, end); issued < p.issueWidth;
+         slot = nextReady(slot + 1, end)) {
+        if (slot == end) {
+            if (end != p.robEntries || robHead == 0)
+                break;
+            end = robHead;
+            slot = nextReady(0, end);
+            if (slot == end)
+                break;
+        }
+        RobInst *inst = &rob[slot];
         const Instr &in = *inst->trace.inst;
         FuClass fu = in.traits().fu;
 
-        if (!fuAvailable(fu, now)) {
-            ++it;
+        if (!fuAvailable(fu, now))
             continue;
-        }
-        if (in.op == Op::load && loadsInFlight >= p.lsqLoads) {
-            ++it;
+        if (in.op == Op::load && loadsInFlight >= p.lsqLoads)
             continue;
-        }
-        if (in.op == Op::store && storesInFlight >= p.lsqStores) {
-            ++it;
+        if (in.op == Op::store && storesInFlight >= p.lsqStores)
             continue;
-        }
 
         // Issue.
         consumeFu(fu, now);
         inst->issued = true;
         if (trace)
             inst->issueTick = now;
-        inst->inReadyQueue = false;
-        it = readyQueue.erase(it);
+        readyBits[slot / 64] &= ~(std::uint64_t(1) << (slot % 64));
+        --readyCount;
         ++issued;
 
         if (in.op == Op::load) {
@@ -307,6 +316,28 @@ BigCore::issueStage()
 }
 
 void
+BigCore::markReady(RobInst *inst)
+{
+    unsigned slot = slotOf(inst);
+    readyBits[slot / 64] |= std::uint64_t(1) << (slot % 64);
+    ++readyCount;
+}
+
+unsigned
+BigCore::nextReady(unsigned from, unsigned end) const
+{
+    while (from < end) {
+        std::uint64_t bits = readyBits[from / 64] >> (from % 64);
+        if (bits) {
+            unsigned slot = from + std::countr_zero(bits);
+            return std::min(slot, end);
+        }
+        from = (from / 64 + 1) * 64;
+    }
+    return end;
+}
+
+void
 BigCore::completeInst(RobInst *inst)
 {
     if (inst->complete)
@@ -324,10 +355,9 @@ BigCore::completeInst(RobInst *inst)
     for (RobInst *consumer : inst->consumers) {
         bvl_assert(consumer->pendingSrcs > 0, "wakeup underflow");
         if (--consumer->pendingSrcs == 0 && !consumer->issued &&
-            !consumer->inReadyQueue &&
+            !isReady(slotOf(consumer)) &&
             !consumer->trace.inst->isVector()) {
-            readyQueue.emplace(consumer->seq, consumer);
-            consumer->inReadyQueue = true;
+            markReady(consumer);
         }
     }
     inst->consumers.clear();
@@ -507,7 +537,7 @@ BigCore::progressDetail() const
         return "";
     std::string out = "rob " + std::to_string(robCount) + "/" +
                       std::to_string(p.robEntries) + " ready " +
-                      std::to_string(readyQueue.size()) + " vecQ " +
+                      std::to_string(readyCount) + " vecQ " +
                       std::to_string(vecQueue.size()) + " vecOut " +
                       std::to_string(vecOutstanding) + " ld " +
                       std::to_string(loadsInFlight) + " st " +

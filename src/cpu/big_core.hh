@@ -140,7 +140,6 @@ class BigCore : public Clocked
         SeqNum seq = 0;
         ExecTrace trace;
         unsigned pendingSrcs = 0;
-        bool inReadyQueue = false;
         bool issued = false;
         bool complete = false;
         bool vecDispatched = false;
@@ -173,6 +172,13 @@ class BigCore : public Clocked
     { return rob[(robHead + i) % p.robEntries]; }
     const RobInst &robAt(unsigned i) const
     { return rob[(robHead + i) % p.robEntries]; }
+    unsigned slotOf(const RobInst *inst) const
+    { return static_cast<unsigned>(inst - rob.data()); }
+    bool isReady(unsigned slot) const
+    { return readyBits[slot / 64] >> (slot % 64) & 1; }
+    void markReady(RobInst *inst);
+    /** First ready slot in [from, end), or end if none. */
+    unsigned nextReady(unsigned from, unsigned end) const;
 
     StatGroup &stats;
     MemSystem &mem;
@@ -214,7 +220,13 @@ class BigCore : public Clocked
     unsigned robCount = 0;
     std::array<RobInst *, 64> lastWriter{};
     std::unordered_map<Addr, RobInst *> lastStoreToLine;
-    std::map<SeqNum, RobInst *> readyQueue;
+    /**
+     * One bit per ROB slot whose scalar instruction waits to issue.
+     * Scanning from robHead to the end of the ring and then from slot
+     * 0 visits ready instructions oldest first.
+     */
+    std::vector<std::uint64_t> readyBits;
+    unsigned readyCount = 0;
     /** Vector instructions awaiting dispatch, program order. */
     std::deque<RobInst *> vecQueue;
     SeqNum nextSeq = 1;
