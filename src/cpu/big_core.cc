@@ -44,9 +44,11 @@ BigCore::BigCore(ClockDomain &cd, StatGroup &sg, MemSystem &ms,
       sVecDispatched(sg.handle(prefix + "vecDispatched")),
       arch(vlen_bits), bpred(params.bpredIndexBits),
       fetchBuf(ms, ms.bigCoreId(), sg, prefix), rob(params.robEntries),
+      storeLines(std::bit_ceil(2 * params.robEntries)),
       readyBits((params.robEntries + 63) / 64)
 {
     lastWriter.fill(nullptr);
+    storeLineShift = 64 - std::countr_zero(storeLines.size());
 }
 
 void
@@ -69,7 +71,7 @@ BigCore::beginWindow(ProgramPtr program, std::uint64_t maxFetch,
     robHead = 0;
     robCount = 0;
     lastWriter.fill(nullptr);
-    lastStoreToLine.clear();
+    std::fill(storeLines.begin(), storeLines.end(), StoreLine{});
     std::fill(readyBits.begin(), readyBits.end(), 0);
     readyCount = 0;
     fuInUseThisCycle.fill(0);
@@ -173,15 +175,12 @@ BigCore::fetchStage()
         // scalar/vector boundary).
         if (!in.isVector() && inst->trace.isMem) {
             Addr lnum = lineOf(inst->trace.addr);
+            StoreLine &entry = storeLines[storeLineSlot(lnum)];
             if (inst->trace.isStore) {
-                lastStoreToLine[lnum] = inst;
-            } else {
-                auto it = lastStoreToLine.find(lnum);
-                if (it != lastStoreToLine.end() &&
-                    !it->second->complete) {
-                    ++inst->pendingSrcs;
-                    it->second->consumers.push_back(inst);
-                }
+                entry = {lnum, inst};
+            } else if (entry.store && !entry.store->complete) {
+                ++inst->pendingSrcs;
+                entry.store->consumers.push_back(inst);
             }
         }
 
@@ -337,6 +336,36 @@ BigCore::nextReady(unsigned from, unsigned end) const
     return end;
 }
 
+std::size_t
+BigCore::storeLineSlot(Addr line) const
+{
+    std::size_t mask = storeLines.size() - 1;
+    std::size_t i = storeLineHome(line);
+    while (storeLines[i].store && storeLines[i].line != line)
+        i = (i + 1) & mask;
+    return i;
+}
+
+void
+BigCore::eraseStoreLine(Addr line, const RobInst *store)
+{
+    std::size_t i = storeLineSlot(line);
+    if (storeLines[i].store != store)
+        return;
+    // Backward-shift deletion: an entry later in the probe run moves
+    // into the hole unless its home slot lies between the hole and it.
+    std::size_t mask = storeLines.size() - 1;
+    for (std::size_t j = (i + 1) & mask; storeLines[j].store;
+         j = (j + 1) & mask) {
+        if (((j - storeLineHome(storeLines[j].line)) & mask) >=
+            ((j - i) & mask)) {
+            storeLines[i] = storeLines[j];
+            i = j;
+        }
+    }
+    storeLines[i].store = nullptr;
+}
+
 void
 BigCore::completeInst(RobInst *inst)
 {
@@ -440,11 +469,8 @@ BigCore::commitStage()
             lastWriter[in.rd] == head) {
             lastWriter[in.rd] = nullptr;
         }
-        if (head->trace.isMem && head->trace.isStore && !in.isVector()) {
-            auto it = lastStoreToLine.find(lineOf(head->trace.addr));
-            if (it != lastStoreToLine.end() && it->second == head)
-                lastStoreToLine.erase(it);
-        }
+        if (head->trace.isMem && head->trace.isStore && !in.isVector())
+            eraseStoreLine(lineOf(head->trace.addr), head);
         if (trace && trace->wants(TraceCat::big)) {
             // Instruction lifetimes overlap (out-of-order core), so
             // they trace as async begin/end pairs, not complete spans.

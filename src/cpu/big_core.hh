@@ -21,9 +21,6 @@
 #include <array>
 #include <deque>
 #include <functional>
-#include <map>
-#include <memory>
-#include <unordered_map>
 
 #include "cpu/bpred.hh"
 #include "cpu/fetch_buffer.hh"
@@ -179,6 +176,12 @@ class BigCore : public Clocked
     void markReady(RobInst *inst);
     /** First ready slot in [from, end), or end if none. */
     unsigned nextReady(unsigned from, unsigned end) const;
+    std::size_t storeLineHome(Addr line) const
+    { return (line * 0x9e3779b97f4a7c15ull) >> storeLineShift; }
+    /** The slot holding @p line, or the empty slot that ends its run. */
+    std::size_t storeLineSlot(Addr line) const;
+    /** Drop @p line's entry if it still names @p store. */
+    void eraseStoreLine(Addr line, const RobInst *store);
 
     StatGroup &stats;
     MemSystem &mem;
@@ -219,7 +222,19 @@ class BigCore : public Clocked
     unsigned robHead = 0;
     unsigned robCount = 0;
     std::array<RobInst *, 64> lastWriter{};
-    std::unordered_map<Addr, RobInst *> lastStoreToLine;
+    /**
+     * Youngest in-flight scalar store to each cache line, for store ->
+     * load ordering. Open addressing with linear probing over at least
+     * twice robEntries slots, so a probe always ends at an empty slot;
+     * an entry leaves when its store retires.
+     */
+    struct StoreLine
+    {
+        Addr line = 0;
+        RobInst *store = nullptr;   ///< nullptr = empty slot
+    };
+    std::vector<StoreLine> storeLines;
+    unsigned storeLineShift = 0;
     /**
      * One bit per ROB slot whose scalar instruction waits to issue.
      * Scanning from robHead to the end of the ring and then from slot
