@@ -47,9 +47,12 @@ class FetchBuffer
     lineReady(Addr addr, Clocked *waker)
     {
         Addr line = lineOf(addr);
+        if (line == settledLine)
+            return true;
         if (ready.count(line)) {
             for (unsigned d = 1; d <= prefetchDepth; ++d)
                 prefetch(line + d);
+            settledLine = line;
             return true;
         }
         if (!pending.count(line)) {
@@ -64,6 +67,7 @@ class FetchBuffer
     void
     reset()
     {
+        settledLine = noLine;
         ready.clear();
         readyOrder.clear();
         // Pending requests may still complete; their callbacks tolerate
@@ -96,6 +100,7 @@ class FetchBuffer
     void
     insertReady(Addr line)
     {
+        settledLine = noLine;
         if (ready.insert(line).second)
             readyOrder.push_back(line);
         while (readyOrder.size() > capacity) {
@@ -115,6 +120,15 @@ class FetchBuffer
     std::unordered_set<Addr> ready;
     std::deque<Addr> readyOrder;
     std::unordered_set<Addr> pending;
+    /**
+     * The last line lineReady() found ready, after which it and its
+     * prefetch lines were all in ready or pending. Lines leave those
+     * sets only in insertReady() and reset(), which clear it, so a
+     * repeated ask for this line can return at once with the same
+     * answer and the same stats.
+     */
+    static constexpr Addr noLine = ~Addr(0);
+    Addr settledLine = noLine;
 };
 
 } // namespace bvl
