@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "isa/arch_state.hh"
 #include "isa/program.hh"
@@ -130,6 +131,81 @@ TEST_F(IsaTest, ScalarFloatSinglePrecision)
     std::uint32_t lo = static_cast<std::uint32_t>(raw);
     std::memcpy(&r, &lo, 4);
     EXPECT_FLOAT_EQ(r, std::sqrt(12.0f));
+}
+
+/** Bits of an FP register (or vector element) read as a double. */
+double
+asDouble(std::uint64_t raw)
+{
+    double d;
+    std::memcpy(&d, &raw, 8);
+    return d;
+}
+
+TEST_F(IsaTest, ScalarFloatDoublePrecision)
+{
+    // Operands float32 cannot hold, and an fmadd whose fused result
+    // (-2^-60) differs from a rounded multiply then add (0).
+    const double x = 1.0 + std::ldexp(1.0, -30);
+    const double y = 1.0 - std::ldexp(1.0, -30);
+    const double z = -1.0;
+    const double t = 0.1, u = 1.0 / 3.0;
+    const double in[] = {x, y, z, t, u};
+    for (unsigned i = 0; i < 5; ++i)
+        mem.writeT<double>(0x1000 + 8 * i, in[i]);
+    Asm a("t");
+    a.li(xreg(1), 0x1000);
+    for (unsigned i = 0; i < 5; ++i)
+        a.fld(freg(1 + i), xreg(1), 8 * i);
+    a.fadd(freg(6), freg(4), freg(5), 8)
+     .fmul(freg(7), freg(4), freg(5), 8)
+     .fmadd(freg(8), freg(1), freg(2), freg(3), 8)
+     .halt();
+    auto p = a.finish();
+    runFunctional(st, *p, mem);
+    EXPECT_EQ(asDouble(st.getF(freg(6))), t + u);
+    EXPECT_EQ(asDouble(st.getF(freg(7))), t * u);
+    EXPECT_EQ(asDouble(st.getF(freg(8))), std::fma(x, y, z));
+    EXPECT_EQ(std::fma(x, y, z), -std::ldexp(1.0, -60));
+}
+
+TEST_F(IsaTest, VectorFloatDoublePrecision)
+{
+    // SEW = 8 vfadd and vfmacc. Every product and sum is exact in
+    // double but not in float, so host arithmetic gives the reference
+    // whether or not it fuses the multiply-add.
+    const unsigned n = 8;
+    const Addr xb = 0x1000, yb = 0x2000, accb = 0x3000, sumb = 0x4000;
+    for (unsigned i = 0; i < n; ++i) {
+        mem.writeT<double>(xb + 8 * i, 1.0 + std::ldexp(i + 1.0, -40));
+        mem.writeT<double>(yb + 8 * i, 3.0 + i);
+        mem.writeT<double>(accb + 8 * i, std::ldexp(1.0, -45) * i);
+    }
+    Asm a("t");
+    a.li(xreg(1), n)
+     .vsetvli(xreg(2), xreg(1), 8)
+     .li(xreg(3), xb)
+     .li(xreg(4), yb)
+     .li(xreg(5), accb)
+     .li(xreg(6), sumb)
+     .vle(vreg(1), xreg(3), 8)
+     .vle(vreg(2), xreg(4), 8)
+     .vle(vreg(3), xreg(5), 8)
+     .vv(Op::vfadd, vreg(4), vreg(1), vreg(2))
+     .vv(Op::vfmacc, vreg(3), vreg(1), vreg(2))
+     .vse(vreg(4), xreg(6), 8)
+     .vse(vreg(3), xreg(5), 8)
+     .halt();
+    auto p = a.finish();
+    runFunctional(st, *p, mem);
+    ASSERT_EQ(st.getX(xreg(2)), n);
+    for (unsigned i = 0; i < n; ++i) {
+        double x = 1.0 + std::ldexp(i + 1.0, -40);
+        double y = 3.0 + i;
+        double acc = std::ldexp(1.0, -45) * i;
+        EXPECT_EQ(mem.readT<double>(sumb + 8 * i), x + y) << i;
+        EXPECT_EQ(mem.readT<double>(accb + 8 * i), acc + x * y) << i;
+    }
 }
 
 TEST_F(IsaTest, VsetvliClampsToVlmax)
