@@ -384,7 +384,6 @@ BigCore::completeInst(RobInst *inst)
     for (RobInst *consumer : inst->consumers) {
         bvl_assert(consumer->pendingSrcs > 0, "wakeup underflow");
         if (--consumer->pendingSrcs == 0 && !consumer->issued &&
-            !isReady(slotOf(consumer)) &&
             !consumer->trace.inst->isVector()) {
             markReady(consumer);
         }

@@ -171,8 +171,6 @@ class BigCore : public Clocked
     { return rob[(robHead + i) % p.robEntries]; }
     unsigned slotOf(const RobInst *inst) const
     { return static_cast<unsigned>(inst - rob.data()); }
-    bool isReady(unsigned slot) const
-    { return readyBits[slot / 64] >> (slot % 64) & 1; }
     void markReady(RobInst *inst);
     /** First ready slot in [from, end), or end if none. */
     unsigned nextReady(unsigned from, unsigned end) const;
