@@ -287,6 +287,14 @@ struct CorePin
     const char *counters;
 };
 
+// Printed by name: gtest's byte dump would put string addresses into
+// the discovered ctest names.
+void
+PrintTo(const CorePin &pin, std::ostream *os)
+{
+    *os << pin.workload << "/" << designName(pin.design);
+}
+
 const CorePin corePins[] = {
     {"vvadd", Design::d1b, 3884,
          "big.cycles=3883 big.fetchLineReqs=1 big.fetchPrefetches=4 "
