@@ -160,7 +160,6 @@ class BigCore : public Clocked
     void vecDispatchStage();
     void commitStage();
     void completeInst(RobInst *inst);
-    void tryWakeReady(RobInst *inst);
     bool fuAvailable(FuClass fu, Tick now);
     void consumeFu(FuClass fu, Tick now);
     void maybeFinish();
