@@ -39,9 +39,9 @@ PrintTo(const AllocCell &cell, std::ostream *os)
 
 // About twice what these cells read with the big core's fixed ROB
 // ring, ready bitmap and store-line table: mmult 1,052 allocations
-// over 55,862 instructions (0.019 each), vvadd 1,317 over 4,108
-// (0.32, mostly per cache miss). The per-instruction ROB nodes and
-// ready-map nodes these replaced read 3.05 and 3.07.
+// over 55,862 instructions (0.019 each), vvadd 1,317 over 4,108 (0.32,
+// about one per L1D miss). A big core with a heap node per ROB entry
+// and per ready instruction reads 3.05 and 3.07 and fails both.
 const AllocCell cells[] = {
     {"mmult", 0.04},
     {"vvadd", 0.65},
