@@ -148,10 +148,38 @@ TEST_F(MemTest, BankedIndexingFindsLinesAfterModeSwitch)
         sys.accessBank(0, 0x8000, false, [&] { b = true; });
         runUntilDone(b);
         EXPECT_TRUE(sys.littleL1D(0).probe(0x8000));
-        // exactly one copy resident
+        EXPECT_TRUE(sys.littleL1D(0).residentAnywhere(0x8000));
+        // Exactly one copy resident: back under scalar indexing, the
+        // stale scalar-set copy is gone, so the line misses there.
+        sys.setVectorMode(false);
+        EXPECT_FALSE(sys.littleL1D(0).probe(0x8000));
         EXPECT_TRUE(sys.littleL1D(0).residentAnywhere(0x8000));
     }
     sys.setVectorMode(false);
+}
+
+TEST_F(MemTest, DirectoryInvalidationFindsLineOfOtherIndexMode)
+{
+    // A line little core 0 filled under scalar indexing sits in its
+    // scalar-mode set. After the switch to banked indexing, a write by
+    // the big core must still invalidate that copy through the L2
+    // directory, although the current mode would look in another set.
+    bool a = false;
+    sys.accessData(0, 0x8000, false, [&] { a = true; });
+    runUntilDone(a);
+    ASSERT_TRUE(sys.littleL1D(0).residentAnywhere(0x8000));
+
+    sys.setVectorMode(true);
+    EXPECT_FALSE(sys.littleL1D(0).probe(0x8000));
+    bool b = false;
+    sys.accessData(sys.bigCoreId(), 0x8000, true, [&] { b = true; });
+    runUntilDone(b);
+    EXPECT_EQ(stats.value("l2.dir.invalidates"), 1u);
+    EXPECT_EQ(stats.value("little0.l1d.invalidations"), 1u);
+    EXPECT_FALSE(sys.littleL1D(0).residentAnywhere(0x8000));
+
+    sys.setVectorMode(false);
+    EXPECT_FALSE(sys.littleL1D(0).probe(0x8000));
 }
 
 TEST_F(MemTest, BankInterleavingIsLineGranular)
