@@ -268,10 +268,11 @@ BM_FastForwardStep(benchmark::State &state)
     }
     ArchState arch(512);
     std::uint64_t insts = 0;
+    ExecTrace tr;
     for (auto _ : state) {
         arch.reset();
         while (!arch.halted) {
-            stepOne(arch, *prog, backing);
+            stepOne(arch, *prog, backing, tr);
             ++insts;
         }
     }

@@ -198,9 +198,10 @@ VectorLane::tick()
     }
 
     // Completion (write-back) notification to the engine.
-    clock.eventQueue().scheduleAt(readyTick, [this, vseq, chime] {
-        env.uopRetired(vseq, chime);
-    });
+    auto retire = [this, vseq, chime] { env.uopRetired(vseq, chime); };
+    static_assert(SmallFn::fitsInline<decltype(retire)>(),
+                  "lane retire capture must fit SmallFn inline");
+    clock.eventQueue().scheduleAt(readyTick, std::move(retire));
 
     uopQueue.pop_front();
     ++numUops;

@@ -42,7 +42,41 @@ vregIdx(RegId r)
 /** Queue entries the VMSU's store-address CAM check covers per cycle. */
 constexpr unsigned camScanWindow = 8;
 
+/** The request @p reqSeq in a queue that holds requests in reqSeq
+ *  order (a Ring or a vector of LineReq). */
+template <typename Queue>
+auto &
+queuedReq(Queue &q, std::uint64_t reqSeq)
+{
+    for (std::size_t i = 0; i < q.size(); ++i)
+        if (q[i].reqSeq == reqSeq)
+            return q[i];
+    panic("line request %llu is not queued",
+          static_cast<unsigned long long>(reqSeq));
+}
+
 } // namespace
+
+void
+VlittleEngine::VInstr::reset()
+{
+    // Every field back to its default; the vectors keep their buffers.
+    vseq = 0;
+    trace.elemAddrs.clear();
+    onDone = nullptr;
+    needsDataSlot = false;
+    plan.clear();
+    planTarget.clear();
+    broadcastRemaining = 0;
+    cracked = memCmdSent = isCross = scalarViaRing = false;
+    lanePending = storeLinesTotal = storeLinesDone = 0;
+    ringDoneAt = maxTick;
+    memGenDone = completed = false;
+    dispatchTick = 0;
+    nextElem = idxSends = 0;
+    arrived.clear();
+    storeElemsReceived = 0;
+}
 
 VlittleEngine::VlittleEngine(ClockDomain &cd, StatGroup &sg,
                              MemSystem &ms, VEngineParams params)
@@ -156,9 +190,10 @@ VlittleEngine::dispatch(const ExecTrace &tr,
         }
     }
 
-    VInstr &vi = instrs.emplace_back();
+    VInstr &vi = instrs.pushSlot();
+    vi.reset();
     vi.vseq = nextVseq++;
-    vi.trace = tr;
+    vi.trace = tr;   // copy-assign: reuses the slot's elemAddrs buffer
     vi.onDone = std::move(onDone);
     vi.needsDataSlot = needsScalarData(*tr.inst);
     if (vi.needsDataSlot)
@@ -213,6 +248,10 @@ VlittleEngine::crack(VInstr &vi)
                                         : std::max<unsigned>(1, tr.sew);
     unsigned pf = packFactor(sew);
     unsigned chimeCount = activeChimes(tr);
+    // At most two uops per chime (index or ring read, then the data
+    // uop); a reused slot already has the room.
+    vi.plan.reserve(2 * p.chimes);
+    vi.planTarget.reserve(2 * p.chimes);
 
     auto addBroadcast = [&](UopKind kind, unsigned chime, int vd, int vs1,
                             int vs2, int vs3, FuClass fuc) {
@@ -394,7 +433,7 @@ VlittleEngine::vcuFrontTick()
     if (in.traits().isVecMem && !vi.memCmdSent) {
         if (vmiuQueue.size() >= p.vmiuQueueDepth)
             return;
-        vmiuQueue.push_back(&vi);
+        vmiuQueue.push_back(vi.vseq);
         vi.memCmdSent = true;
         sVmiuCmds++;
     }
@@ -403,7 +442,7 @@ VlittleEngine::vcuFrontTick()
     if (uopQueue.size() + vi.plan.size() > p.uopQueueDepth)
         return;
     for (unsigned i = 0; i < vi.plan.size(); ++i)
-        uopQueue.push_back(QueuedUop{&vi, i});
+        uopQueue.push_back(QueuedUop{vi.vseq, i});
     popCommand();
     if (vi.plan.empty())
         checkInstrDone(vi);
@@ -435,8 +474,8 @@ VlittleEngine::vcuBroadcastTick()
         return;
     }
 
-    QueuedUop &qu = uopQueue.front();
-    VInstr &vi = *qu.vi;
+    const QueuedUop &qu = uopQueue.front();
+    VInstr &vi = *find(qu.vseq);   // live: it still owes broadcasts
     const Instr &in = *vi.trace.inst;
     const VUop &uop = vi.plan[qu.idx];
     int target = vi.planTarget[qu.idx];
@@ -508,7 +547,7 @@ VlittleEngine::deliverLine(unsigned vmsu_idx, SeqNum vseq,
             checkInstrDone(*vi);
         }
     } else {
-        vluDataReady.insert(reqSeq);
+        queuedReq(vluOrder, reqSeq).dataReady = true;
     }
     activate();
 }
@@ -535,8 +574,7 @@ VlittleEngine::issueToMemory(unsigned vmsu_idx, const LineReq &req,
     // Injected fault: the response is dropped on the way back to the
     // VMSU. Bounded retries re-issue the line request after a timeout;
     // once they are exhausted the queue slot is stuck forever and the
-    // progress watchdog reports the hang. The capture (LineReq + this
-    // + attempt) fits MemCallback's inline buffer.
+    // progress watchdog reports the hang.
     auto done = [this, vmsu_idx, req, attempt] {
         Tick now = clock().eventQueue().now();
         if (injector && injector->dropVmuResponse(now)) {
@@ -568,6 +606,8 @@ VlittleEngine::issueToMemory(unsigned vmsu_idx, const LineReq &req,
         }
         deliverLine(vmsu_idx, req.vseq, req.reqSeq, req.isStore);
     };
+    static_assert(SmallFn::fitsInline<decltype(done)>(),
+                  "VMSU completion capture must fit SmallFn inline");
 
     switch (p.memPath) {
       case VEngineParams::MemPath::bankedL1:
@@ -587,7 +627,7 @@ VlittleEngine::vmiuTick()
 {
     if (vmiuQueue.empty())
         return;
-    VInstr &vi = *vmiuQueue.front();
+    VInstr &vi = *find(vmiuQueue.front());
     const Instr &in = *vi.trace.inst;
     const auto &addrs = vi.trace.elemAddrs;
     bool isStore = in.traits().isVecStore;
@@ -709,8 +749,7 @@ VlittleEngine::vmsuTick(unsigned idx)
          it != m.queue.end() && scanned < camScanWindow; ++it, ++scanned) {
         LineReq req = *it;
         if (req.isStore) {
-            if (m.storeDataReady.count(req.reqSeq)) {
-                m.storeDataReady.erase(req.reqSeq);
+            if (req.dataReady) {
                 bvl_assert(m.camUsed > 0, "CAM underflow");
                 --m.camUsed;
                 m.queue.erase(it);
@@ -742,7 +781,7 @@ VlittleEngine::vluTick()
     if (vluOrder.empty())
         return;
     LineReq &req = vluOrder.front();
-    if (!vluDataReady.count(req.reqSeq))
+    if (!req.dataReady)
         return;
 
     // Indexed loads are pulled element by element (paper Section
@@ -776,7 +815,6 @@ VlittleEngine::vluTick()
                        clock().eventQueue().now(), std::move(args));
     }
     --vmsus[req.vmsu].loadSlotsUsed;
-    vluDataReady.erase(req.reqSeq);
     vluOrder.pop_front();
     vluHeadDelivered = 0;
     sVluDeliveries++;
@@ -802,7 +840,7 @@ VlittleEngine::vsuTick()
         trace->instant(TraceCat::vmu, tidVsu, "lineReady",
                        clock().eventQueue().now(), std::move(args));
     }
-    vmsus[req.vmsu].storeDataReady.insert(req.reqSeq);
+    queuedReq(vmsus[req.vmsu].queue, req.reqSeq).dataReady = true;
     vsuOrder.pop_front();
     sVsuLines++;
 }
@@ -1025,8 +1063,8 @@ VlittleEngine::registerInvariants(InvariantRegistry &reg)
         // Every consumed scalar-data slot must belong to an in-flight
         // or still-queued instruction that claimed one.
         unsigned claimed = 0;
-        for (const VInstr &vi : instrs)
-            claimed += !vi.completed && vi.needsDataSlot ? 1 : 0;
+        for (std::size_t i = 0; i < instrs.size(); ++i)
+            claimed += !instrs[i].completed && instrs[i].needsDataSlot;
         if (dataSlotsUsed > claimed)
             return std::to_string(dataSlotsUsed) +
                    " data slots used but only " +
@@ -1061,7 +1099,8 @@ VlittleEngine::registerInvariants(InvariantRegistry &reg)
         // Broadcast bookkeeping: an instruction past cracking can
         // never owe more broadcasts than its plan contains, nor more
         // lane retires than a full per-lane fan-out of that plan.
-        for (const VInstr &vi : instrs) {
+        for (std::size_t i = 0; i < instrs.size(); ++i) {
+            const VInstr &vi = instrs[i];
             if (vi.completed || !vi.cracked)
                 continue;
             if (vi.broadcastRemaining > vi.plan.size())
@@ -1137,7 +1176,8 @@ VlittleEngine::inflightReport()
                std::to_string(m.camUsed);
     }
     unsigned listed = 0;
-    for (const VInstr &vi : instrs) {
+    for (std::size_t i = 0; i < instrs.size(); ++i) {
+        const VInstr &vi = instrs[i];
         if (vi.completed)
             continue;
         out += " | v" + std::to_string(vi.vseq) + " " +

@@ -24,9 +24,7 @@
 #ifndef BVL_CORE_VLITTLE_ENGINE_HH
 #define BVL_CORE_VLITTLE_ENGINE_HH
 
-#include <deque>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "core/lane.hh"
@@ -35,6 +33,7 @@
 #include "mem/mem_system.hh"
 #include "sim/clock_domain.hh"
 #include "sim/name_table.hh"
+#include "sim/ring.hh"
 #include "sim/stats.hh"
 
 namespace bvl
@@ -144,9 +143,15 @@ class VlittleEngine : public Clocked, public VectorEngine, public LaneEnv
     bool tick() override;
 
   private:
-    /** One dispatched vector instruction, until it completes. */
+    /**
+     * One dispatched vector instruction, until it completes. Records
+     * live in reused ring slots: reset() clears the vectors but keeps
+     * their buffers, so a steady-state dispatch allocates nothing.
+     */
     struct VInstr
     {
+        void reset();
+
         SeqNum vseq = 0;
         ExecTrace trace;
         std::function<void()> onDone;
@@ -183,6 +188,10 @@ class VlittleEngine : public Clocked, public VectorEngine, public LaneEnv
         Addr lineAddr = 0;
         bool isStore = false;
         bool indexed = false;
+        /** Load: the line reached the VLU. Store: the VSU assembled
+         *  its data. Sits in the bools' padding: a larger LineReq
+         *  would push the VMSU completion capture out of SmallFn. */
+        bool dataReady = false;
         unsigned elemStart = 0;
         unsigned elemCount = 0;
         unsigned vmsu = 0;
@@ -201,12 +210,12 @@ class VlittleEngine : public Clocked, public VectorEngine, public LaneEnv
 
     struct Vmsu
     {
-        std::deque<LineReq> queue;
+        /** Oldest first; vmsuTick issues from the middle. */
+        std::vector<LineReq> queue;
         unsigned loadSlotsUsed = 0;
         unsigned storeSlotsUsed = 0;
         /** Stores buffered in the queue (CAM capacity constraint). */
         unsigned camUsed = 0;
-        std::unordered_set<std::uint64_t> storeDataReady;
     };
 
     // per-cycle unit models
@@ -217,7 +226,9 @@ class VlittleEngine : public Clocked, public VectorEngine, public LaneEnv
     void vluTick();
     void vsuTick();
 
-    /** The live record of @p vseq; nullptr once it has completed. */
+    /** The live record of @p vseq; nullptr once it has completed. A
+     *  dispatch may move records, so callers do not keep the pointer
+     *  across one. */
     VInstr *find(SeqNum vseq);
     /** Instructions dispatched but not yet cracked into the UopQ. */
     SeqNum commandsQueued() const { return nextVseq - vcuHead; }
@@ -258,42 +269,42 @@ class VlittleEngine : public Clocked, public VectorEngine, public LaneEnv
 
     /**
      * Records indexed by vseq - front().vseq; completed ones leave once
-     * they reach the front. Not a fixed ring: an instruction that
-     * writes no scalar retires from the big core at dispatch, so no
-     * queue depth bounds how many are in flight here.
+     * they reach the front. The ring doubles when full: an instruction
+     * that writes no scalar retires from the big core at dispatch, so
+     * no queue depth bounds how many are in flight here.
      */
-    std::deque<VInstr> instrs;
+    Ring<VInstr> instrs;
     SeqNum nextVseq = 1;
     unsigned live = 0;   ///< records not yet completed
 
     // VCU state
     SeqNum vcuHead = 1;   ///< command queue: records [vcuHead, nextVseq)
-    /** Cracked micro-ops awaiting lock-step broadcast (paper's UopQ). */
+    /** Cracked micro-ops awaiting lock-step broadcast (paper's UopQ):
+     *  plan entry @c idx of record @c vseq. */
     struct QueuedUop
     {
-        VInstr *vi;
-        unsigned idx;
+        SeqNum vseq = 0;
+        unsigned idx = 0;
     };
-    std::deque<QueuedUop> uopQueue;
+    Ring<QueuedUop> uopQueue;
     unsigned dataSlotsUsed = 0;
     bool vectorMode = false;
     Tick switchReadyAt = 0;
     bool lockstepBlocked = false;
 
     // VMIU state
-    std::deque<VInstr *> vmiuQueue;
+    Ring<SeqNum> vmiuQueue;   ///< memory commands, by vseq
     std::uint64_t nextReqSeq = 1;
 
     // VMSUs
     std::vector<Vmsu> vmsus;
 
     // VLU state
-    std::deque<LineReq> vluOrder;
-    std::unordered_set<std::uint64_t> vluDataReady;
+    Ring<LineReq> vluOrder;
     unsigned vluHeadDelivered = 0;
 
     // VSU state
-    std::deque<LineReq> vsuOrder;
+    Ring<LineReq> vsuOrder;
 
     // VXU state
     SeqNum vxuVseq = 0;

@@ -128,21 +128,22 @@ BigCore::fetchStage()
         if (!fetchBuf.lineReady(instAddr, this))
             return;
 
+        // Execute straight into the tail slot. stepOne and the cleared
+        // consumer list keep their buffers, so steady-state fetch
+        // allocates nothing here.
         std::uint64_t fetchPc = arch.pc;
-        ExecTrace tr = stepOne(arch, *prog, backing);
+        RobInst *inst = &robAt(robCount);
+        stepOne(arch, *prog, backing, inst->trace);
         sFetched++;
         ++windowFetched_;
         windowLastFetch_ = eq.now();
         if (windowFetched_ == markFetchAt)
             windowMark_ = eq.now();
         if (check)
-            check->onFetchExecuted(this, arch, tr, backing, eq.now());
+            check->onFetchExecuted(this, arch, inst->trace, backing,
+                                   eq.now());
 
-        // Reuse the tail slot. Clearing its consumer list keeps the
-        // capacity, so steady-state fetch allocates nothing here.
-        RobInst *inst = &robAt(robCount);
         inst->seq = nextSeq++;
-        inst->trace = std::move(tr);
         inst->pendingSrcs = 0;
         inst->issued = false;
         inst->complete = false;

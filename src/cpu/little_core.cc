@@ -103,13 +103,13 @@ LittleCore::fetchStage()
     if (!fetchBuf.lineReady(instAddr, this))
         return;
 
-    // Functional-first execution at fetch (oracle EX).
-    ExecTrace tr = stepOne(arch, *prog, backing);
+    // Functional-first execution at fetch (oracle EX), straight into
+    // the reused queue slot.
+    PendingInst &pi = fetchQueue.pushSlot();
+    stepOne(arch, *prog, backing, pi.trace);
+    pi.fetchTick = trace ? eq.now() : 0;
     if (check)
-        check->onFetchExecuted(this, arch, tr, backing, eq.now());
-    fetchQueue.push_back(PendingInst{std::move(tr)});
-    if (trace)
-        fetchQueue.back().fetchTick = eq.now();
+        check->onFetchExecuted(this, arch, pi.trace, backing, eq.now());
     sFetched++;
     ++windowFetched_;
     windowLastFetch_ = eq.now();

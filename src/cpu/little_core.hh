@@ -18,7 +18,6 @@
 #define BVL_CPU_LITTLE_CORE_HH
 
 #include <array>
-#include <deque>
 #include <functional>
 
 #include "cpu/fetch_buffer.hh"
@@ -26,6 +25,7 @@
 #include "isa/arch_state.hh"
 #include "mem/mem_system.hh"
 #include "sim/clock_domain.hh"
+#include "sim/ring.hh"
 #include "sim/stats.hh"
 
 namespace bvl
@@ -159,7 +159,7 @@ class LittleCore : public Clocked
     Tick windowMark_ = 0;
 
     // fetch state
-    std::deque<PendingInst> fetchQueue;
+    Ring<PendingInst> fetchQueue;
     FetchBuffer fetchBuf;
     Tick fetchStallUntil = 0;
 

@@ -135,11 +135,15 @@ withEw(unsigned ew, Body &&body)
 
 } // namespace
 
-ExecTrace
-stepOne(ArchState &st, const Program &prog, BackingStore &mem)
+void
+stepOne(ArchState &st, const Program &prog, BackingStore &mem,
+        ExecTrace &tr)
 {
     const Instr &in = prog.at(st.pc);
-    ExecTrace tr;
+    std::vector<Addr> addrs = std::move(tr.elemAddrs);
+    addrs.clear();
+    tr = ExecTrace{};
+    tr.elemAddrs = std::move(addrs);
     tr.inst = &in;
     tr.pc = st.pc;
     tr.nextPc = st.pc + 1;
@@ -667,7 +671,6 @@ stepOne(ArchState &st, const Program &prog, BackingStore &mem)
     }
 
     st.pc = tr.nextPc;
-    return tr;
 }
 
 std::uint64_t
@@ -675,8 +678,9 @@ runFunctional(ArchState &state, const Program &prog, BackingStore &mem,
               std::uint64_t maxSteps)
 {
     std::uint64_t steps = 0;
+    ExecTrace tr;
     while (!state.halted && state.pc < prog.size() && steps < maxSteps) {
-        stepOne(state, prog, mem);
+        stepOne(state, prog, mem, tr);
         ++steps;
     }
     return steps;

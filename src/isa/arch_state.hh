@@ -250,10 +250,13 @@ class ArchState
 
 /**
  * Functionally execute the instruction at @p state.pc of @p prog,
- * updating @p state and @p mem, and return the trace.
+ * updating @p state and @p mem, and overwrite @p tr with its trace.
+ * Every field of @p tr is reset first; elemAddrs is cleared, not
+ * freed, so a caller that reuses one trace (a ROB slot, a fetch queue
+ * slot) refills its buffer without allocating.
  */
-ExecTrace stepOne(ArchState &state, const Program &prog,
-                  BackingStore &mem);
+void stepOne(ArchState &state, const Program &prog, BackingStore &mem,
+             ExecTrace &tr);
 
 /**
  * Run a program functionally to completion (no timing), up to

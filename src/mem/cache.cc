@@ -29,12 +29,19 @@ Cache::Cache(ClockDomain &cd, StatGroup &sg, CacheParams params,
     bvl_assert((numSets & (numSets - 1)) == 0,
                "%s: set count must be a power of two", p.name.c_str());
     sets.assign(numSets, std::vector<Way>(p.assoc));
+    mshrs.resize(p.numMshrs);
 }
 
 unsigned
 Cache::setIndex(Addr lineNum) const
 {
-    if (indexMode == IndexMode::vectorBanked)
+    return setIndexIn(indexMode, lineNum);
+}
+
+unsigned
+Cache::setIndexIn(IndexMode mode, Addr lineNum) const
+{
+    if (mode == IndexMode::vectorBanked)
         return static_cast<unsigned>((lineNum / p.numBanks) % numSets);
     return static_cast<unsigned>(lineNum % numSets);
 }
@@ -64,33 +71,50 @@ Cache::probe(Addr addr) const
     return findWay(lineNum, setIndex(lineNum)) != nullptr;
 }
 
+bool
+Cache::residentAnywhere(Addr addr) const
+{
+    Addr lineNum = lineOf(lineAlign(addr));
+    return findWay(lineNum, setIndexIn(IndexMode::scalarPrivate,
+                                       lineNum)) ||
+           findWay(lineNum, setIndexIn(IndexMode::vectorBanked, lineNum));
+}
+
+bool
+Cache::dropLine(Addr lineNum)
+{
+    Way *way = findWay(lineNum,
+                       setIndexIn(IndexMode::scalarPrivate, lineNum));
+    if (!way)
+        way = findWay(lineNum,
+                      setIndexIn(IndexMode::vectorBanked, lineNum));
+    if (!way)
+        return false;
+    way->valid = false;
+    way->dirty = false;
+    return true;
+}
+
 void
 Cache::invalidate(Addr lineAddr)
 {
-    Addr lineNum = lineOf(lineAlign(lineAddr));
-    auto it = lineMap.find(lineNum);
-    if (it == lineMap.end())
-        return;
-    if (Way *way = findWay(lineNum, it->second)) {
-        way->valid = false;
-        way->dirty = false;
-    }
-    lineMap.erase(it);
-    sInvalidations++;
+    if (dropLine(lineOf(lineAlign(lineAddr))))
+        sInvalidations++;
 }
 
 void
 Cache::warmInvalidate(Addr lineAddr)
 {
-    Addr lineNum = lineOf(lineAlign(lineAddr));
-    auto it = lineMap.find(lineNum);
-    if (it == lineMap.end())
-        return;
-    if (Way *way = findWay(lineNum, it->second)) {
-        way->valid = false;
-        way->dirty = false;
-    }
-    lineMap.erase(it);
+    dropLine(lineOf(lineAlign(lineAddr)));
+}
+
+Cache::Mshr *
+Cache::findMshr(Addr lineNum)
+{
+    for (Mshr &m : mshrs)
+        if (m.valid && m.line == lineNum)
+            return &m;
+    return nullptr;
 }
 
 void
@@ -99,28 +123,20 @@ Cache::registerInvariants(InvariantRegistry &reg)
     // O(1) structural checks only: invariant sweeps run at retire
     // granularity, so no per-set/per-way walks here.
     reg.add(p.name + ".mshr.bound", [this]() -> std::string {
-        if (mshrs.size() <= p.numMshrs)
+        if (mshrsUsed <= p.numMshrs)
             return "";
-        return std::to_string(mshrs.size()) +
+        return std::to_string(mshrsUsed) +
                " MSHRs allocated, capacity " +
                std::to_string(p.numMshrs);
-    });
-    reg.add(p.name + ".lineMap.bound", [this]() -> std::string {
-        std::size_t capacity =
-            static_cast<std::size_t>(numSets) * p.assoc;
-        if (lineMap.size() <= capacity)
-            return "";
-        return "line map tracks " + std::to_string(lineMap.size()) +
-               " lines, capacity " + std::to_string(capacity);
     });
     reg.add(p.name + ".mshr.stall", [this]() -> std::string {
         // A request may only stall in pendingQueue while the MSHR
         // file is genuinely full.
-        if (pendingQueue.empty() || mshrs.size() >= p.numMshrs)
+        if (pendingQueue.empty() || mshrsUsed >= p.numMshrs)
             return "";
         return std::to_string(pendingQueue.size()) +
                " requests stalled with only " +
-               std::to_string(mshrs.size()) + "/" +
+               std::to_string(mshrsUsed) + "/" +
                std::to_string(p.numMshrs) + " MSHRs busy";
     });
 }
@@ -146,17 +162,19 @@ Cache::registerProgress(Watchdog &wd)
 std::string
 Cache::mshrReport() const
 {
-    if (mshrs.empty() && pendingQueue.empty())
+    if (mshrsUsed == 0 && pendingQueue.empty())
         return "";
-    std::string out = "mshrs " + std::to_string(mshrs.size()) + "/" +
+    std::string out = "mshrs " + std::to_string(mshrsUsed) + "/" +
                       std::to_string(p.numMshrs) + " stalled " +
                       std::to_string(pendingQueue.size()) + " lines";
     unsigned listed = 0;
-    for (const auto &kv : mshrs) {
+    for (const Mshr &m : mshrs) {
+        if (!m.valid)
+            continue;
         out += (listed == 0 ? ": " : " ");
-        out += std::to_string(kv.first);
-        out += kv.second.isWrite ? "(w," : "(r,";
-        out += std::to_string(kv.second.waiters.size()) + "w)";
+        out += std::to_string(m.line);
+        out += m.isWrite ? "(w," : "(r,";
+        out += std::to_string(m.waiters.size()) + "w)";
         if (++listed == 8) {
             out += " ...";
             break;
@@ -198,25 +216,27 @@ Cache::handleMiss(Addr lineNum, bool isWrite, MemCallback done,
 {
     auto &eq = clock.eventQueue();
 
-    auto it = mshrs.find(lineNum);
-    if (it != mshrs.end()) {
+    if (Mshr *pending = findMshr(lineNum)) {
         // Secondary miss: piggyback on the outstanding request.
-        it->second.isWrite |= isWrite;
+        pending->isWrite |= isWrite;
         if (done)
-            it->second.waiters.push_back(std::move(done));
+            pending->waiters.push_back(std::move(done));
         return;
     }
 
-    if (mshrs.size() >= p.numMshrs) {
+    if (mshrsUsed >= p.numMshrs) {
         sMshrFull++;
-        pendingQueue.emplace_back(lineNum, isWrite, std::move(done));
+        pendingQueue.push_back(PendingReq{lineNum, isWrite, std::move(done)});
         return;
     }
 
-    Mshr &mshr = mshrs[lineNum];
+    Mshr &mshr = *std::find_if(mshrs.begin(), mshrs.end(),
+                               [](const Mshr &m) { return !m.valid; });
+    ++mshrsUsed;
+    mshr.valid = true;
+    mshr.line = lineNum;
     mshr.isWrite = isWrite;
-    if (trace)
-        mshr.allocTick = eq.now();
+    mshr.allocTick = trace ? eq.now() : 0;
     if (done)
         mshr.waiters.push_back(std::move(done));
 
@@ -226,41 +246,54 @@ Cache::handleMiss(Addr lineNum, bool isWrite, MemCallback done,
     if (injector)
         delay += clock.cyclesToTicks(
             injector->cacheResponseDelay(eq.now()));
-    eq.schedule(delay, [this, lineNum] {
-        auto mit = mshrs.find(lineNum);
-        bvl_assert(mit != mshrs.end(), "%s: lost MSHR", p.name.c_str());
-        next->request(l1Id, lineNum << lineShift, mit->second.isWrite,
-                      [this, lineNum] {
-            auto &eq2 = clock.eventQueue();
-            auto mit2 = mshrs.find(lineNum);
-            bvl_assert(mit2 != mshrs.end(), "%s: MSHR vanished",
-                       p.name.c_str());
-            bool isWrite = mit2->second.isWrite;
-            auto waiters = std::move(mit2->second.waiters);
-            if (trace && trace->wants(TraceCat::cache)) {
-                // Miss lifetimes overlap (non-blocking cache), so
-                // MSHR allocate -> fill pairs as async events.
-                std::uint64_t id = trace->nextAsyncId();
-                Json args = Json::object();
-                args.set("line", lineNum);
-                args.set("write", isWrite);
-                args.set("waiters",
-                         static_cast<unsigned>(waiters.size()));
-                trace->asyncBegin(TraceCat::cache, traceTid, "miss",
-                                  id, mit2->second.allocTick,
-                                  std::move(args));
-                trace->asyncEnd(TraceCat::cache, traceTid, "miss",
-                                id, eq2.now());
-            }
-            mshrs.erase(mit2);
-            fill(lineNum, isWrite);
-            // One-cycle fill-forward latency to the waiting requests.
-            Tick respond = eq2.now() + clock.cyclesToTicks(1);
-            for (auto &w : waiters)
-                eq2.scheduleAt(respond, std::move(w));
-            issuePending();
-        });
-    });
+    auto send = [this, lineNum] { sendMiss(lineNum); };
+    static_assert(SmallFn::fitsInline<decltype(send)>(),
+                  "miss capture must fit SmallFn inline");
+    eq.schedule(delay, std::move(send));
+}
+
+void
+Cache::sendMiss(Addr lineNum)
+{
+    Mshr *mshr = findMshr(lineNum);
+    bvl_assert(mshr, "%s: lost MSHR", p.name.c_str());
+    auto filled = [this, lineNum] { completeMiss(lineNum); };
+    static_assert(SmallFn::fitsInline<decltype(filled)>(),
+                  "fill capture must fit SmallFn inline");
+    next->request(l1Id, lineNum << lineShift, mshr->isWrite,
+                  std::move(filled));
+}
+
+void
+Cache::completeMiss(Addr lineNum)
+{
+    auto &eq = clock.eventQueue();
+    Mshr *mshr = findMshr(lineNum);
+    bvl_assert(mshr, "%s: MSHR vanished", p.name.c_str());
+    bool isWrite = mshr->isWrite;
+    fillWaiters.swap(mshr->waiters);
+    if (trace && trace->wants(TraceCat::cache)) {
+        // Miss lifetimes overlap (non-blocking cache), so MSHR
+        // allocate -> fill pairs as async events.
+        std::uint64_t id = trace->nextAsyncId();
+        Json args = Json::object();
+        args.set("line", lineNum);
+        args.set("write", isWrite);
+        args.set("waiters", static_cast<unsigned>(fillWaiters.size()));
+        trace->asyncBegin(TraceCat::cache, traceTid, "miss", id,
+                          mshr->allocTick, std::move(args));
+        trace->asyncEnd(TraceCat::cache, traceTid, "miss", id,
+                        eq.now());
+    }
+    mshr->valid = false;
+    --mshrsUsed;
+    fill(lineNum, isWrite);
+    // One-cycle fill-forward latency to the waiting requests.
+    Tick respond = eq.now() + clock.cyclesToTicks(1);
+    for (auto &w : fillWaiters)
+        eq.scheduleAt(respond, std::move(w));
+    fillWaiters.clear();
+    issuePending();
 }
 
 void
@@ -275,14 +308,7 @@ Cache::installLine(Addr lineNum, bool isWrite, bool warm)
     // If this cache already holds the line under the *other* indexing
     // mode (mode switched while it was resident), drop the stale copy:
     // the coherence protocol migrates the line to its new home set.
-    auto stale = lineMap.find(lineNum);
-    if (stale != lineMap.end()) {
-        if (Way *old = findWay(lineNum, stale->second)) {
-            old->valid = false;
-            old->dirty = false;
-        }
-        lineMap.erase(stale);
-    }
+    dropLine(lineNum);
 
     unsigned set = setIndex(lineNum);
     Way *victim = nullptr;
@@ -297,7 +323,6 @@ Cache::installLine(Addr lineNum, bool isWrite, bool warm)
     bvl_assert(victim, "%s: no victim way", p.name.c_str());
 
     if (victim->valid) {
-        lineMap.erase(victim->line);
         next->evicted(l1Id, victim->line << lineShift);
         if (!warm)
             sEvictions++;
@@ -317,7 +342,6 @@ Cache::installLine(Addr lineNum, bool isWrite, bool warm)
     victim->line = lineNum;
     victim->dirty = isWrite;
     victim->lastUse = clock.eventQueue().now();
-    lineMap[lineNum] = set;
     if (!warm)
         sFills++;
 }
@@ -341,8 +365,11 @@ Cache::warmAccess(Addr addr, bool isWrite)
 void
 Cache::issuePending()
 {
-    while (!pendingQueue.empty() && mshrs.size() < p.numMshrs) {
-        auto [lineNum, isWrite, done] = std::move(pendingQueue.front());
+    while (!pendingQueue.empty() && mshrsUsed < p.numMshrs) {
+        PendingReq &front = pendingQueue.front();
+        Addr lineNum = front.line;
+        bool isWrite = front.isWrite;
+        MemCallback done = std::move(front.done);
         pendingQueue.pop_front();
         // Re-check the tags: the line may have been filled meanwhile.
         unsigned set = setIndex(lineNum);

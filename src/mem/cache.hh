@@ -15,13 +15,12 @@
 #define BVL_MEM_CACHE_HH
 
 #include <cstdint>
-#include <deque>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/mem_types.hh"
 #include "sim/clock_domain.hh"
+#include "sim/ring.hh"
 #include "sim/stats.hh"
 
 namespace bvl
@@ -134,9 +133,8 @@ class Cache
     /** One-line MSHR occupancy description for diagnostics. */
     std::string mshrReport() const;
 
-    /** True if the line is resident in any set (tests). */
-    bool residentAnywhere(Addr addr) const
-    { return lineMap.count(lineOf(lineAlign(addr))) != 0; }
+    /** True if the line is resident in either of its sets (tests). */
+    bool residentAnywhere(Addr addr) const;
 
     const CacheParams &params() const { return p; }
     const std::string &name() const { return p.name; }
@@ -158,22 +156,47 @@ class Cache
         Tick lastUse = 0;
     };
 
+    /** One slot of the fixed MSHR file; a freed slot keeps its
+     *  waiter list's buffer. */
     struct Mshr
     {
+        bool valid = false;
+        Addr line = 0;
         bool isWrite = false;
         std::vector<MemCallback> waiters;
         /** Allocation timestamp, recorded only while tracing. */
         Tick allocTick = 0;
     };
 
+    /** A request stalled on a full MSHR file. */
+    struct PendingReq
+    {
+        Addr line = 0;
+        bool isWrite = false;
+        MemCallback done;
+    };
+
     unsigned setIndex(Addr lineNum) const;
+    unsigned setIndexIn(IndexMode mode, Addr lineNum) const;
     Way *findWay(Addr lineNum, unsigned set);
     const Way *findWay(Addr lineNum, unsigned set) const;
+    /**
+     * Invalidate the resident copy of @p lineNum, wherever it is.
+     * A line is installed under one of the two index modes, so it can
+     * only sit in its scalar-mode or its banked-mode set, and in at
+     * most one of them. @return true if a copy was resident.
+     */
+    bool dropLine(Addr lineNum);
+    Mshr *findMshr(Addr lineNum);
     void fill(Addr lineNum, bool isWrite);
     /** Shared line-install path of fill() and warmAccess(). */
     void installLine(Addr lineNum, bool isWrite, bool warm);
     void handleMiss(Addr lineNum, bool isWrite, MemCallback done,
                     Tick readyTick);
+    /** The miss of @p lineNum leaves for the next level. */
+    void sendMiss(Addr lineNum);
+    /** The next level returned @p lineNum: fill and wake the waiters. */
+    void completeMiss(Addr lineNum);
     void issuePending();
 
     ClockDomain &clock;
@@ -194,11 +217,14 @@ class Cache
     IndexMode indexMode = IndexMode::scalarPrivate;
 
     std::vector<std::vector<Way>> sets;
-    /** lineNum -> set holding it (unique per cache). */
-    std::unordered_map<Addr, unsigned> lineMap;
-    std::unordered_map<Addr, Mshr> mshrs;
+    /** numMshrs slots, searched linearly; mshrsUsed are valid. */
+    std::vector<Mshr> mshrs;
+    unsigned mshrsUsed = 0;
+    /** completeMiss() swaps a slot's waiters in here, so both buffers
+     *  are reused from miss to miss. */
+    std::vector<MemCallback> fillWaiters;
     /** Requests stalled on a full MSHR file. */
-    std::deque<std::tuple<Addr, bool, MemCallback>> pendingQueue;
+    Ring<PendingReq> pendingQueue;
 
     /** Tag-port occupancy: next tick a new lookup can start. */
     Tick portNextFree = 0;

@@ -214,7 +214,8 @@ LockstepChecker::onRetire(Tick now)
     RetireRecord timed = std::move(pending.front());
     pending.pop_front();
 
-    ExecTrace rtr = stepOne(refArch, *prog, shadowMem);
+    ExecTrace rtr;
+    stepOne(refArch, *prog, shadowMem, rtr);
     RetireRecord ref = capture(refArch, rtr, shadowMem, timed.seq);
 
     compare(timed, ref, now);

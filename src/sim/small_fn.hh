@@ -31,6 +31,20 @@ class SmallFn
     /** Captures up to this many bytes are stored without allocating. */
     static constexpr std::size_t inlineBytes = 64;
 
+    /**
+     * True if a callable of type @p D is stored inline. Hot paths
+     * static_assert it on their closures, so a capture that grows past
+     * the buffer fails the build instead of allocating once per event.
+     */
+    template <typename D>
+    static constexpr bool
+    fitsInline()
+    {
+        return sizeof(D) <= inlineBytes &&
+               alignof(D) <= alignof(std::max_align_t) &&
+               std::is_nothrow_move_constructible_v<D>;
+    }
+
     SmallFn() = default;
     SmallFn(std::nullptr_t) {}
 
@@ -83,15 +97,6 @@ class SmallFn
         void (*relocate)(void *src, void *dst);
         void (*destroy)(void *);
     };
-
-    template <typename D>
-    static constexpr bool
-    fitsInline()
-    {
-        return sizeof(D) <= inlineBytes &&
-               alignof(D) <= alignof(std::max_align_t) &&
-               std::is_nothrow_move_constructible_v<D>;
-    }
 
     template <typename D>
     struct InlineOps

@@ -14,6 +14,7 @@ fastForward(Soc &soc, ArchState &arch, const Program &prog,
 {
     FastForwardResult res;
     Addr lastFetchLine = ~Addr(0);
+    ExecTrace tr;
     while (res.executed < maxInsts) {
         if (arch.halted || arch.pc >= prog.size())
             break;
@@ -30,7 +31,7 @@ fastForward(Soc &soc, ArchState &arch, const Program &prog,
             }
         }
 
-        ExecTrace tr = stepOne(arch, prog, soc.backing);
+        stepOne(arch, prog, soc.backing, tr);
         ++res.executed;
 
         if (bpred && tr.isBranch && tr.inst->op != Op::jump)

@@ -446,7 +446,7 @@ TEST_F(IsaTest, ExecTraceRecordsVectorAddresses)
     // step through manually
     ExecTrace tr;
     while (!st.halted) {
-        tr = stepOne(st, *p, mem);
+        stepOne(st, *p, mem, tr);
         if (tr.inst->op == Op::vle)
             break;
     }

@@ -2,13 +2,14 @@
  * @file
  * Unit tests for the simulation kernel: event-queue ordering and
  * determinism, clock-domain arithmetic (including DVFS frequencies),
- * statistics registry, and the deterministic RNG.
+ * statistics registry, the deterministic RNG and the Ring FIFO.
  */
 
 #include <gtest/gtest.h>
 
 #include "sim/clock_domain.hh"
 #include "sim/event_queue.hh"
+#include "sim/ring.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
 
@@ -329,6 +330,87 @@ TEST(RngTest, RealIsUnitInterval)
         sum += v;
     }
     EXPECT_NEAR(sum / 1000.0, 0.5, 0.05);
+}
+
+TEST(RingTest, FifoOrderAcrossWrapAround)
+{
+    Ring<int> ring;
+    int pushed = 0, popped = 0;
+    // Keep 5 elements live while 100 pass through 8 slots, so head and
+    // tail wrap many times without the ring growing.
+    for (; pushed < 5; ++pushed)
+        ring.push_back(pushed);
+    for (; pushed < 100; ++pushed) {
+        EXPECT_EQ(ring.front(), popped++);
+        ring.pop_front();
+        ring.push_back(pushed);
+        ASSERT_EQ(ring.size(), 5u);
+        for (std::size_t i = 0; i < ring.size(); ++i)
+            EXPECT_EQ(ring[i], popped + static_cast<int>(i));
+    }
+    while (!ring.empty()) {
+        EXPECT_EQ(ring.front(), popped++);
+        ring.pop_front();
+    }
+    EXPECT_EQ(popped, 100);
+}
+
+TEST(RingTest, GrowthWhileWrappedKeepsFifoOrder)
+{
+    Ring<int> ring;
+    int pushed = 0, popped = 0;
+    // Wrap the head past the end of the first 8 slots, then fill the
+    // ring well past several doublings while it is non-empty.
+    for (; pushed < 6; ++pushed)
+        ring.push_back(pushed);
+    for (; popped < 4; ++popped) {
+        EXPECT_EQ(ring.front(), popped);
+        ring.pop_front();
+    }
+    for (; pushed < 70; ++pushed)
+        ring.push_back(pushed);
+    ASSERT_EQ(ring.size(), 66u);
+    for (std::size_t i = 0; i < ring.size(); ++i)
+        EXPECT_EQ(ring[i], popped + static_cast<int>(i));
+    while (!ring.empty()) {
+        EXPECT_EQ(ring.front(), popped++);
+        ring.pop_front();
+    }
+    EXPECT_EQ(popped, 70);
+}
+
+TEST(RingTest, ReusedSlotKeepsMemberCapacity)
+{
+    struct Rec
+    {
+        std::vector<int> buf;
+    };
+    Ring<Rec> ring;
+    Rec &first = ring.pushSlot();
+    first.buf.assign(100, 7);
+    const int *storage = first.buf.data();
+    ring.pop_front();
+    // Cycle the other slots once, so the next push lands on the first
+    // slot again.
+    for (int i = 0; i < 7; ++i) {
+        ring.pushSlot();
+        ring.pop_front();
+    }
+    Rec &again = ring.pushSlot();
+    EXPECT_EQ(again.buf.data(), storage);
+    again.buf.clear();
+    EXPECT_GE(again.buf.capacity(), 100u);
+
+    // Copying push_back assigns into the slot, which keeps it too.
+    ring.pop_front();
+    for (int i = 0; i < 7; ++i) {
+        ring.pushSlot();
+        ring.pop_front();
+    }
+    const Rec small{{1, 2, 3}};
+    ring.push_back(small);
+    EXPECT_EQ(ring.front().buf.data(), storage);
+    EXPECT_EQ(ring.front().buf, (std::vector<int>{1, 2, 3}));
 }
 
 } // namespace
