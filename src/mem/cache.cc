@@ -71,23 +71,25 @@ Cache::probe(Addr addr) const
     return findWay(lineNum, setIndex(lineNum)) != nullptr;
 }
 
+const Cache::Way *
+Cache::findResident(Addr lineNum) const
+{
+    if (const Way *way = findWay(
+            lineNum, setIndexIn(IndexMode::scalarPrivate, lineNum)))
+        return way;
+    return findWay(lineNum, setIndexIn(IndexMode::vectorBanked, lineNum));
+}
+
 bool
 Cache::residentAnywhere(Addr addr) const
 {
-    Addr lineNum = lineOf(lineAlign(addr));
-    return findWay(lineNum, setIndexIn(IndexMode::scalarPrivate,
-                                       lineNum)) ||
-           findWay(lineNum, setIndexIn(IndexMode::vectorBanked, lineNum));
+    return findResident(lineOf(lineAlign(addr))) != nullptr;
 }
 
 bool
 Cache::dropLine(Addr lineNum)
 {
-    Way *way = findWay(lineNum,
-                       setIndexIn(IndexMode::scalarPrivate, lineNum));
-    if (!way)
-        way = findWay(lineNum,
-                      setIndexIn(IndexMode::vectorBanked, lineNum));
+    Way *way = const_cast<Way *>(findResident(lineNum));
     if (!way)
         return false;
     way->valid = false;

@@ -4,11 +4,13 @@
  *
  * The cache tracks tags, LRU state, dirtiness and MSHRs but no data.
  * Throughput is one tag lookup per cycle; hits respond after the hit
- * latency, misses allocate an MSHR and forward a line request to the
- * next level. Reconfigurable L1 data caches support two set-indexing
- * modes (IndexMode); a line filled in one mode is findable only in that
- * mode's set, which reproduces the paper's lazy eviction/migration of
- * wrongly-banked lines after a mode switch.
+ * latency, misses allocate one of a fixed file of MSHRs and forward a
+ * line request to the next level. Reconfigurable L1 data caches
+ * support two set-indexing modes (IndexMode); a line filled in one
+ * mode is findable only in that mode's set, which reproduces the
+ * paper's lazy eviction/migration of wrongly-banked lines after a mode
+ * switch. Either way a line is resident at most once, in its
+ * scalar-mode or its banked-mode set.
  */
 
 #ifndef BVL_MEM_CACHE_HH
@@ -181,11 +183,13 @@ class Cache
     Way *findWay(Addr lineNum, unsigned set);
     const Way *findWay(Addr lineNum, unsigned set) const;
     /**
-     * Invalidate the resident copy of @p lineNum, wherever it is.
-     * A line is installed under one of the two index modes, so it can
-     * only sit in its scalar-mode or its banked-mode set, and in at
-     * most one of them. @return true if a copy was resident.
+     * The resident copy of @p lineNum, wherever it is. A line is
+     * installed under one of the two index modes, so it can only sit
+     * in its scalar-mode or its banked-mode set, and in at most one of
+     * them.
      */
+    const Way *findResident(Addr lineNum) const;
+    /** Invalidate findResident()'s way; @return true if there was one. */
     bool dropLine(Addr lineNum);
     Mshr *findMshr(Addr lineNum);
     void fill(Addr lineNum, bool isWrite);
