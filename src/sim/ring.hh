@@ -30,14 +30,8 @@ class Ring
 
     /** @p i-th element from the front (0 = oldest). */
     T &operator[](std::size_t i) { return slots[(head + i) & mask()]; }
-    const T &
-    operator[](std::size_t i) const
-    {
-        return slots[(head + i) & mask()];
-    }
 
     T &front() { return (*this)[0]; }
-    const T &front() const { return (*this)[0]; }
     T &back() { return (*this)[count - 1]; }
 
     /**
