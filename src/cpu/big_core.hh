@@ -19,7 +19,6 @@
 #define BVL_CPU_BIG_CORE_HH
 
 #include <array>
-#include <deque>
 #include <functional>
 
 #include "cpu/bpred.hh"
@@ -29,6 +28,7 @@
 #include "isa/arch_state.hh"
 #include "mem/mem_system.hh"
 #include "sim/clock_domain.hh"
+#include "sim/ring.hh"
 #include "sim/stats.hh"
 
 namespace bvl
@@ -240,7 +240,7 @@ class BigCore : public Clocked
     std::vector<std::uint64_t> readyBits;
     unsigned readyCount = 0;
     /** Vector instructions awaiting dispatch, program order. */
-    std::deque<RobInst *> vecQueue;
+    Ring<RobInst *> vecQueue;
     SeqNum nextSeq = 1;
 
     // execution resources

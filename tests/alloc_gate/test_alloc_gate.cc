@@ -46,8 +46,8 @@ PrintTo(const AllocCell &cell, std::ostream *os)
 // slots, ring queues and a fixed MSHR file:
 //   mmult/1b      701 allocations over 55,862 instructions (0.013)
 //   vvadd/1b      351 over 4,108 (0.085)
-//   vvadd/1b-4VL  892 over 390 (2.3)
-//   mmult/1bDV    1,217 over 6,198 (0.20)
+//   vvadd/1b-4VL  895 over 390 (2.3)
+//   mmult/1bDV    1,201 over 6,198 (0.19)
 // At tiny the vector cells are mostly warm-up: each ROB slot and each
 // of the engine's record slots allocates its buffers once, and the
 // L2 directory adds a node per line. A node per cache miss and per
