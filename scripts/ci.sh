@@ -217,7 +217,7 @@ leg_forensics() {
 # Lower it whenever a change deletes or tests unrun code. Lines that
 # only forked isolate workers run read as unrun (the workers leave
 # through _exit, which skips gcov's dump); the pin absorbs them.
-coverage_pin=564
+coverage_pin=559
 
 leg_coverage() {
     echo "=== coverage (Debug --coverage, tier-1, never-run src/ lines) ==="
